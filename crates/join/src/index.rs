@@ -11,6 +11,7 @@ use crate::error::JoinError;
 use crate::estimate::{JoinEstimator, SketchedColumn};
 use ipsketch_core::runner::{default_threads, parallel_map};
 use ipsketch_data::Table;
+use std::borrow::Borrow;
 
 /// Identifies one column of one table in the lake.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -500,7 +501,7 @@ impl SketchIndex {
     }
 
     /// Answers a batch of cascade joinability queries (each a primary + companion
-    /// query-sketch pair) with the same parallel scheduling as
+    /// query-sketch pair, owned or borrowed) with the same parallel scheduling as
     /// [`top_k_joinable_batch`](Self::top_k_joinable_batch); result `i` is exactly
     /// [`top_k_joinable_cascade`](Self::top_k_joinable_cascade) for query `i`.
     ///
@@ -508,14 +509,14 @@ impl SketchIndex {
     ///
     /// Returns the first (by input order) per-query error; batches are
     /// all-or-nothing.
-    pub fn top_k_joinable_cascade_batch(
+    pub fn top_k_joinable_cascade_batch<Q: Borrow<SketchedColumn> + Sync>(
         &self,
-        queries: &[(SketchedColumn, SketchedColumn)],
+        queries: &[(Q, Q)],
         k: usize,
         confidence: f64,
     ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
         parallel_map(queries, self.batch_threads(queries.len()), |(q, cq)| {
-            self.top_k_joinable_cascade(q, cq, k, confidence)
+            self.top_k_joinable_cascade(q.borrow(), cq.borrow(), k, confidence)
                 .map(|(results, _)| results)
         })
         .into_iter()

@@ -755,8 +755,8 @@ fn route_impl(options: &RouteOptions, out: &mut dyn Write) -> Result<(), CliErro
         config = config.retry(RetryPolicy::with_timeout(Duration::from_millis(ms)));
     }
     if let Some(ms) = options.probe_ms {
-        // 0 turns the background prober off; demoted nodes then only return
-        // when regular traffic reaches them again.
+        // 0 turns periodic probing off; demoted nodes then only return when
+        // regular traffic reaches them again.
         config = config.probe_interval((ms > 0).then(|| Duration::from_millis(ms)));
     }
     if let Some(threshold) = options.failure_threshold {

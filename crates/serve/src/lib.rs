@@ -29,14 +29,16 @@
 //! * [`metrics`] — lock-free server observability: per-op log-bucketed latency
 //!   histograms, request/error counters, connection/queue gauges, snapshotted into
 //!   the `info` op's optional `server` member.
-//! * [`server`] (feature `server`) — the concurrent network front end: a `poll(2)`
-//!   reactor driving both framers (line-delimited TCP and HTTP/1.1), a worker pool
-//!   over a read-write-locked [`QueryService`], concurrent shard-partial ingest
-//!   sessions, configured overload shedding, and background catalog compaction.
-//! * [`router`] (feature `server`) — the multi-node front end: rendezvous-hashed
+//! * [`server`] (feature `server`) — the one concurrent network front end: a
+//!   `poll(2)` reactor driving both framers (line-delimited TCP and HTTP/1.1), a
+//!   worker pool, configured overload shedding, and a maintenance thread, serving
+//!   either backend: a catalog node ([`server::serve`]: a read-write-locked
+//!   [`QueryService`], concurrent shard-partial ingest sessions, background
+//!   catalog compaction) or the router.
+//! * [`router`] (feature `server`) — the multi-node backend: rendezvous-hashed
 //!   column placement with replication, fan-out reads merged under the
 //!   deterministic total order, per-attempt deadlines with idempotent-only
-//!   retries, a health lifecycle (threshold demotion, background probing),
+//!   retries, a health lifecycle (threshold demotion, periodic probing),
 //!   live rebalance between node lists, and the cross-node announced-norm
 //!   round for wire-driven sharded ingest (`docs/PROTOCOL.md` § Cluster
 //!   routing and § Timeouts, retries, and idempotency).
@@ -58,6 +60,8 @@ pub mod http;
 pub mod manifest;
 pub mod metrics;
 pub mod migrate;
+#[cfg(feature = "server")]
+mod node;
 pub mod protocol;
 #[cfg(feature = "server")]
 pub mod router;
@@ -71,6 +75,6 @@ pub use error::CatalogError;
 pub use manifest::{CompanionRef, Manifest, ManifestEntry};
 pub use migrate::{derived_companion_spec, migrate_catalog, MigrationReport};
 pub use service::{
-    shard_rows, CascadeNote, IngestReport, QueryService, ServiceStats, ShardedIngestState,
+    shard_rows, CascadeNote, IngestReport, QueryService, Scan, ServiceStats, ShardedIngestState,
     NOTE_CASCADE_FALLBACK,
 };

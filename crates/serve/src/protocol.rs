@@ -522,7 +522,7 @@ pub enum RequestBody {
         partitions: Option<u64>,
     },
     /// Open a shard-partial ingest session for a table (two-pass announced-norm
-    /// protocol; see `ShardedIngest`).
+    /// protocol; see [`ShardedIngestState`](crate::ShardedIngestState)).
     IngestBegin {
         /// The logical table name every shard of this session must carry.
         table: String,

@@ -28,9 +28,15 @@
 //! `batch-query`, `export-column`) retry — a timed-out write has an unknown
 //! outcome, so it fails fast with `deadline_exceeded` instead.  Nodes that
 //! fail `failure_threshold` consecutive attempts are demoted out of the read
-//! fan-out; a background prober re-checks demoted nodes with `info` and
+//! fan-out; every maintenance pass re-checks demoted nodes with `info` and
 //! promotes them back.  Demotions, promotions, and probe counts surface in
 //! the `cluster` member of `info`.
+//!
+//! The router is a backend of the shared network front end
+//! ([`crate::server`]): [`serve_router`] runs it on the same reactor, framers,
+//! worker queue, overload shedding, and maintenance thread as a catalog node.
+//! Each worker owns a private pool of node connections, and the
+//! maintenance interval is [`RouterConfig::probe_interval`].
 //!
 //! The node list itself is swappable at runtime ([`Router::set_nodes`]):
 //! in-flight requests and open ingest sessions pin the topology they started
@@ -45,25 +51,22 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex, RwLock};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::metrics::ServerMetrics;
 use crate::protocol::{
     ErrorCode, InfoColumn, Request, RequestBody, Response, ResponseBody, WireClusterStats,
     WireError, WireNodeStats, WireRanked, WireServiceStats, WireSketch, WireTable,
 };
+use crate::server::{Backend, FrontEnd, MaintenanceStats, ServerConfig, ServerHandle};
 use crate::wire::Json;
 
 /// Default replication factor: every key lives on two nodes, so the cluster
 /// keeps answering (bit-identically) with any single node down.
 pub const DEFAULT_REPLICAS: usize = 2;
-
-/// Router request lines are bounded like the server's default.
-const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// How a node is spoken to on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,16 +341,16 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the health-probe interval for demoted nodes (`None` disables the
-    /// prober thread).
+    /// Sets the maintenance interval: how often demoted nodes are probed and
+    /// idle ingest sessions reaped (`None` disables periodic passes).
     #[must_use]
     pub fn probe_interval(mut self, interval: Option<Duration>) -> RouterConfig {
         self.probe_interval = interval;
         self
     }
 
-    /// Sets how long an idle router-side ingest session lives before the
-    /// prober thread reaps it.
+    /// Sets how long an idle router-side ingest session lives before a
+    /// maintenance pass reaps it.
     #[must_use]
     pub fn session_ttl(mut self, ttl: Duration) -> RouterConfig {
         self.session_ttl = ttl;
@@ -437,7 +440,7 @@ struct RouterSession {
     /// Node index → that node's session id, opened at first contact.  A
     /// `BTreeMap` so `ingest-finish` fans out in deterministic node order.
     node_sessions: BTreeMap<usize, u64>,
-    /// Last activity; idle sessions past the TTL are reaped by the prober.
+    /// Last activity; idle sessions past the TTL are reaped by maintenance.
     touched: Instant,
 }
 
@@ -473,8 +476,7 @@ fn is_timeout(error: &io::Error) -> bool {
 }
 
 /// The routing core: placement, fan-out, merge, health, and session mapping.
-/// Owns no sockets — each router connection thread brings its own
-/// [`NodePool`].
+/// Owns no sockets — each front-end worker brings its own node-connection pool.
 #[derive(Debug)]
 pub struct Router {
     topology: RwLock<Arc<Topology>>,
@@ -484,7 +486,6 @@ pub struct Router {
     probe_interval: Option<Duration>,
     session_ttl: Duration,
     stats: RouterStats,
-    metrics: ServerMetrics,
     sessions: Mutex<HashMap<u64, Arc<Mutex<RouterSession>>>>,
     next_session: AtomicU64,
 }
@@ -531,7 +532,6 @@ impl Router {
                 fanouts: AtomicU64::new(0),
                 failovers: AtomicU64::new(0),
             },
-            metrics: ServerMetrics::default(),
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
         })
@@ -641,22 +641,20 @@ impl Router {
     }
 
     /// Executes one decoded request against the cluster.  `pool` is the
-    /// calling connection's private set of node connections.
-    ///
-    /// # Errors
-    ///
-    /// Forwards node-side [`WireError`]s verbatim; unreachable nodes surface
-    /// as `io` (or `deadline_exceeded` for timed-out writes), reads only
-    /// after every replica failed.
-    pub fn execute(
+    /// calling worker's private set of node connections.  Node-side
+    /// [`WireError`]s are forwarded verbatim; unreachable nodes surface as `io`
+    /// (or `deadline_exceeded` for timed-out writes), reads only after every
+    /// replica failed.
+    fn execute(
         &self,
         body: &RequestBody,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
+        front: &FrontEnd,
     ) -> Result<ResponseBody, WireError> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let topo = self.topology();
         match body {
-            RequestBody::Info { server } => self.info(&topo, *server, pool),
+            RequestBody::Info { server } => self.info(&topo, *server, pool, front),
             RequestBody::Query { k, .. } => {
                 let responses = self.fan_read(&topo, pool, body)?;
                 let mut per_node = Vec::with_capacity(responses.len());
@@ -803,7 +801,7 @@ impl Router {
     /// and forward each owner its sub-shard under that node's session.
     fn session_shard_op(
         &self,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         session: u64,
         shard: &WireTable,
         announce: bool,
@@ -881,7 +879,8 @@ impl Router {
         &self,
         topo: &Arc<Topology>,
         server: bool,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
+        front: &FrontEnd,
     ) -> Result<ResponseBody, WireError> {
         let probe = RequestBody::Info { server: false };
         let responses = self.fan_read(topo, pool, &probe)?;
@@ -949,7 +948,7 @@ impl Router {
                 bytes_on_disk,
                 last_compaction: None,
             }),
-            server: server.then(|| self.metrics.snapshot()),
+            server: server.then(|| front.metrics().snapshot()),
             cluster: Some(Box::new(self.cluster_stats())),
         })
     }
@@ -959,7 +958,7 @@ impl Router {
     fn drop_column(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
@@ -1017,7 +1016,7 @@ impl Router {
     fn export_column(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
@@ -1072,7 +1071,7 @@ impl Router {
     fn import_column(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         sketch: &WireSketch,
     ) -> Result<ResponseBody, WireError> {
         self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
@@ -1104,14 +1103,14 @@ impl Router {
     }
 
     /// Fans `body` to every node in `topo`.  Demoted nodes are skipped while
-    /// at least one healthy node remains (the prober owns their recovery);
+    /// at least one healthy node remains (maintenance probes own their recovery);
     /// skipped and unreachable nodes count as failovers once somebody
     /// answers, and if every healthy node failed the demoted ones get a last
     /// chance before the read is declared dead.
     fn fan_read(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         body: &RequestBody,
     ) -> Result<Vec<ResponseBody>, WireError> {
         self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
@@ -1169,7 +1168,7 @@ impl Router {
     fn call_write(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         idx: usize,
         body: &RequestBody,
     ) -> Result<ResponseBody, WireError> {
@@ -1195,7 +1194,7 @@ impl Router {
         })
     }
 
-    /// One prober pass: every demoted node gets a fresh-connection `info`
+    /// One probe round: every demoted node gets a fresh-connection `info`
     /// round trip and is promoted back on success.  Probe failures leave the
     /// demotion in place without inflating the error counter — the node was
     /// already out of rotation.
@@ -1220,19 +1219,47 @@ impl Router {
         }
     }
 
-    /// Reaps router-side ingest sessions idle past the TTL.  The mapped
-    /// node-side sessions are left for each node's own TTL sweep — the
-    /// router cannot know whether the nodes are reachable right now.
-    fn expire_sessions(&self) {
+    /// Reaps router-side ingest sessions idle past the TTL and returns how
+    /// many went.  The mapped node-side sessions are left for each node's own
+    /// TTL sweep — the router cannot know whether the nodes are reachable
+    /// right now.
+    fn expire_sessions(&self) -> u64 {
         let ttl = self.session_ttl;
-        self.sessions
-            .lock()
-            .expect("sessions lock")
-            .retain(|_, slot| match slot.try_lock() {
-                Ok(state) => state.touched.elapsed() <= ttl,
-                // Locked means a shard op is mid-flight right now: alive.
-                Err(_) => true,
-            });
+        let mut sessions = self.sessions.lock().expect("sessions lock");
+        let before = sessions.len();
+        sessions.retain(|_, slot| match slot.try_lock() {
+            Ok(state) => state.touched.elapsed() <= ttl,
+            // Locked means a shard op is mid-flight right now: alive.
+            Err(_) => true,
+        });
+        (before - sessions.len()) as u64
+    }
+}
+
+impl Backend for Router {
+    type Worker = NodePool;
+    const USES_RUNNER: bool = false;
+
+    fn worker(&self) -> NodePool {
+        NodePool::new(self)
+    }
+
+    fn handle(
+        &self,
+        pool: &mut NodePool,
+        body: &RequestBody,
+        front: &FrontEnd,
+    ) -> Result<ResponseBody, WireError> {
+        self.execute(body, pool, front)
+    }
+
+    fn maintain(&self) -> MaintenanceStats {
+        self.probe_demoted();
+        MaintenanceStats {
+            passes: 1,
+            sessions_expired: self.expire_sessions(),
+            ..MaintenanceStats::default()
+        }
     }
 }
 
@@ -1336,23 +1363,24 @@ impl NodeConn {
     }
 }
 
-/// One router connection's private node connections, opened lazily and reset
+/// One front-end worker's private node connections, opened lazily and reset
 /// whenever the topology snapshot they were opened under is swapped out.
-pub struct NodePool<'a> {
-    router: &'a Router,
+pub(crate) struct NodePool {
+    retry: RetryPolicy,
+    failure_threshold: u64,
     topo: Arc<Topology>,
     conns: Vec<Option<NodeConn>>,
 }
 
-impl<'a> NodePool<'a> {
+impl NodePool {
     /// An empty pool for `router`'s current node list.
-    #[must_use]
-    pub fn new(router: &'a Router) -> NodePool<'a> {
+    fn new(router: &Router) -> NodePool {
         let topo = router.topology();
         NodePool {
+            retry: router.retry.clone(),
+            failure_threshold: router.failure_threshold,
             conns: topo.nodes.iter().map(|_| None).collect(),
             topo,
-            router,
         }
     }
 
@@ -1388,7 +1416,7 @@ impl<'a> NodePool<'a> {
         };
         let spec = &topo.nodes[idx];
         let state = &topo.states[idx];
-        let retry = &self.router.retry;
+        let retry = &self.retry;
         let idempotent = is_idempotent(body);
         let attempts = if idempotent { retry.read_attempts } else { 1 };
         let mut fresh_failures = 0u32;
@@ -1399,7 +1427,7 @@ impl<'a> NodePool<'a> {
                 match NodeConn::connect(spec, retry) {
                     Ok(conn) => self.conns[idx] = Some(conn),
                     Err(error) => {
-                        state.record_error(self.router.failure_threshold);
+                        state.record_error(self.failure_threshold);
                         fresh_failures += 1;
                         if idempotent && fresh_failures < attempts {
                             thread::sleep(retry.backoff(idx as u64, backoff_attempt));
@@ -1438,7 +1466,7 @@ impl<'a> NodePool<'a> {
                             timed_out: is_timeout(&error),
                         });
                     }
-                    state.record_error(self.router.failure_threshold);
+                    state.record_error(self.failure_threshold);
                     fresh_failures += 1;
                     if idempotent && fresh_failures < attempts {
                         thread::sleep(retry.backoff(idx as u64, backoff_attempt));
@@ -1648,37 +1676,31 @@ fn rebalance_io(addr: &str, error: &io::Error) -> WireError {
     }
 }
 
-/// Shared state between the accept loop, connection threads, the prober, and
-/// the handle.
-struct RouterShared {
-    router: Router,
-    stop: AtomicBool,
-    client_streams: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    probe_lock: Mutex<()>,
-    probe_cv: Condvar,
-}
+/// Worker threads of a router front end.  Router workers spend their time
+/// waiting on nodes, not on the CPU, so there are more of them than a node's
+/// default, and they reserve nothing from the sketch runner.
+const ROUTER_WORKERS: usize = 8;
 
-/// A running router front end; dropping without [`shutdown`](Self::shutdown)
-/// leaks the accept thread, so tests should always shut down.
+/// A running router front end.  Dropping the handle shuts the router down,
+/// closes its listener, and joins its threads, like [`shutdown`](Self::shutdown).
 pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    accept: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
+    server: ServerHandle,
+    router: Arc<Router>,
 }
 
 impl RouterHandle {
     /// The bound listener address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server
+            .tcp_addr()
+            .expect("a router always binds its line-TCP listener")
     }
 
     /// A live snapshot of the cluster counters.
     #[must_use]
     pub fn stats(&self) -> WireClusterStats {
-        self.shared.router.cluster_stats()
+        self.router.cluster_stats()
     }
 
     /// Atomically re-points the running router at a new node list — the
@@ -1688,234 +1710,39 @@ impl RouterHandle {
     ///
     /// [`RouterConfigError::NoNodes`] when `nodes` is empty.
     pub fn set_nodes(&self, nodes: Vec<NodeSpec>) -> Result<(), RouterConfigError> {
-        self.shared.router.set_nodes(nodes)
+        self.router.set_nodes(nodes)
     }
 
-    /// Blocks until the accept loop exits (it only does when the process is
-    /// killed or [`shutdown`](Self::shutdown) runs from another thread) — the
-    /// CLI's run-until-killed mode.
-    pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+    /// Blocks until the front end stops on its own (a fatal reactor error) —
+    /// the CLI's run-until-killed mode.
+    pub fn wait(self) {
+        self.server.wait();
     }
 
     /// Stops accepting, closes every client connection, and joins all
-    /// threads (prober included).
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Acquire-release the probe lock before notifying so a prober already
-        // past its stop check but not yet waiting cannot miss the wakeup.
-        drop(self.shared.probe_lock.lock().expect("probe lock"));
-        self.shared.probe_cv.notify_all();
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
-        // Nudge the blocking accept so it observes the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for stream in self
-            .shared
-            .client_streams
-            .lock()
-            .expect("streams lock")
-            .drain(..)
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let threads: Vec<_> = self
-            .shared
-            .conn_threads
-            .lock()
-            .expect("threads lock")
-            .drain(..)
-            .collect();
-        for thread in threads {
-            let _ = thread.join();
-        }
+    /// threads.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
-/// Binds `addr` and serves the line-JSON protocol over `router`: one blocking
-/// thread per client connection, each with its own node-connection pool, plus
-/// a background health prober when the config asks for one.
+/// Binds `addr` and serves the line-JSON protocol over `router` on the shared
+/// network front end, probing demoted nodes and reaping idle ingest sessions
+/// every [`RouterConfig::probe_interval`].
 ///
 /// # Errors
 ///
 /// Propagates the bind failure.
 pub fn serve_router(router: Router, addr: SocketAddr) -> io::Result<RouterHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let probe_interval = router.probe_interval;
-    let shared = Arc::new(RouterShared {
-        router,
-        stop: AtomicBool::new(false),
-        client_streams: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
-        probe_lock: Mutex::new(()),
-        probe_cv: Condvar::new(),
-    });
-    let accept_shared = Arc::clone(&shared);
-    let accept = thread::Builder::new()
-        .name("router-accept".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                if let Ok(clone) = stream.try_clone() {
-                    accept_shared
-                        .client_streams
-                        .lock()
-                        .expect("streams lock")
-                        .push(clone);
-                }
-                let conn_shared = Arc::clone(&accept_shared);
-                let handle = thread::Builder::new()
-                    .name("router-conn".to_string())
-                    .spawn(move || handle_connection(&conn_shared, stream))
-                    .expect("spawn router connection thread");
-                accept_shared
-                    .conn_threads
-                    .lock()
-                    .expect("threads lock")
-                    .push(handle);
-            }
-        })?;
-    let prober = match probe_interval {
-        Some(interval) => {
-            let probe_shared = Arc::clone(&shared);
-            Some(
-                thread::Builder::new()
-                    .name("router-probe".to_string())
-                    .spawn(move || loop {
-                        let guard = probe_shared.probe_lock.lock().expect("probe lock");
-                        if probe_shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let (guard, _) = probe_shared
-                            .probe_cv
-                            .wait_timeout(guard, interval)
-                            .expect("probe wait");
-                        drop(guard);
-                        if probe_shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        probe_shared.router.probe_demoted();
-                        probe_shared.router.expire_sessions();
-                    })?,
-            )
-        }
-        None => None,
-    };
-    Ok(RouterHandle {
-        addr,
-        shared,
-        accept: Some(accept),
-        prober,
-    })
-}
-
-/// Reads one newline-terminated line, bounded by `max` bytes.  Returns
-/// `Ok(None)` at EOF and `Err` with a wire error when the line overflowed.
-fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
-    max: usize,
-    buf: &mut Vec<u8>,
-) -> io::Result<Option<Result<(), WireError>>> {
-    buf.clear();
-    let n = reader
-        .by_ref()
-        .take((max + 2) as u64)
-        .read_until(b'\n', buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if buf.last() != Some(&b'\n') {
-        if buf.len() > max {
-            return Ok(Some(Err(WireError {
-                code: ErrorCode::TooLarge,
-                message: format!("request line exceeds the router's {max}-byte bound"),
-            })));
-        }
-        // EOF mid-line: nothing well-formed to answer.
-        return Ok(None);
-    }
-    Ok(Some(Ok(())))
-}
-
-fn handle_connection(shared: &RouterShared, stream: TcpStream) {
-    let metrics = &shared.router.metrics;
-    metrics.connections_open.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut pool = NodePool::new(&shared.router);
-    let mut buf = Vec::new();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let framed = match read_line_bounded(&mut reader, MAX_LINE_BYTES, &mut buf) {
-            Ok(Some(framed)) => framed,
-            Ok(None) | Err(_) => break,
-        };
-        let started = Instant::now();
-        let (response, op, close) = match framed {
-            Err(error) => (
-                Response {
-                    id: Json::Null,
-                    result: Err(error),
-                },
-                "invalid",
-                true,
-            ),
-            Ok(()) => {
-                let line = String::from_utf8_lossy(&buf);
-                let line = line.trim_end_matches(['\r', '\n']);
-                match Request::decode(line) {
-                    Err(decode_error) => (
-                        Response {
-                            id: decode_error.id,
-                            result: Err(decode_error.error),
-                        },
-                        "invalid",
-                        false,
-                    ),
-                    Ok(request) => {
-                        let op = request.body.op();
-                        let result = shared.router.execute(&request.body, &mut pool);
-                        (
-                            Response {
-                                id: request.id,
-                                result,
-                            },
-                            op,
-                            false,
-                        )
-                    }
-                }
-            }
-        };
-        let is_error = response.result.is_err();
-        metrics.record(op, started.elapsed(), is_error);
-        let mut line = response.encode();
-        line.push('\n');
-        if writer.write_all(line.as_bytes()).is_err() {
-            break;
-        }
-        if close {
-            break;
-        }
-    }
-    metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
+    let config = ServerConfig::builder()
+        .tcp(addr.to_string())
+        .workers(ROUTER_WORKERS)
+        .maintenance_interval(router.probe_interval)
+        .build()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let router = Arc::new(router);
+    let server = crate::server::serve_backend(Arc::clone(&router), config)?;
+    Ok(RouterHandle { server, router })
 }
 
 #[cfg(test)]

@@ -1,38 +1,33 @@
-//! The concurrent network front end over a [`QueryService`]: both framers, one
-//! reactor.
+//! The network front end: one transport, both framers, one reactor, serving
+//! either backend — a catalog node ([`serve`]) or the multi-node router
+//! ([`crate::router::serve_router`]).
 //!
-//! Two wire framings share every layer below the socket: the line-delimited JSON
-//! framing (one request or response per `\n`-terminated line; normative spec:
+//! This module is transport only: it never looks inside a request.  Two wire
+//! framings share every layer below the socket: the line-delimited JSON framing
+//! (one request or response per `\n`-terminated line; normative spec:
 //! `docs/PROTOCOL.md`) and the HTTP/1.1 binding of the same protocol
 //! ([`crate::http`]; `POST /v1/<op>`, `GET /v1/info`, curl-able).  A server binds
-//! either or both through [`ServerConfig::builder`].  The design splits work
-//! across three kinds of threads, sized so the sketch runner keeps headroom:
+//! either or both through [`ServerConfig::builder`].  The work splits across three
+//! kinds of threads:
 //!
 //! * **Reactor (1 thread).**  A `poll(2)` readiness loop (the vendored [`polling`]
-//!   shim — the offline image has no tokio) owns the listeners and every
-//!   connection: it accepts, reads, frames requests (lines or HTTP messages), and
-//!   writes responses.  It never parses JSON or touches the service, so a slow
-//!   query cannot stall accepts or other connections' I/O.
-//! * **Workers (`workers` threads).**  Pull framed requests from a queue, execute
-//!   them against the shared state, and hand encoded responses back to the
-//!   reactor.  Requests from *one* connection run strictly in order (responses
+//!   shim; the workspace builds offline, with no async runtime) owns the
+//!   listeners and every connection: it accepts, reads, frames requests (lines or
+//!   HTTP messages), and writes responses.  It never parses JSON or touches the backend, so a slow
+//!   request cannot stall accepts or other connections' I/O.
+//! * **Workers (`workers` threads).**  Pull framed requests from a queue, decode
+//!   them, hand the typed body to the backend, and pass encoded responses back to
+//!   the reactor.  Requests from *one* connection run strictly in order (responses
 //!   come back in request order — no client-side correlation needed); requests
-//!   from different connections run in parallel.
-//! * **Maintenance (1 thread).**  Runs catalog compaction/re-manifest on an
-//!   interval and after ingests, behind the same exclusive lock as registrations.
+//!   from different connections run in parallel.  Each worker owns the backend's
+//!   per-worker state (the router's node-connection pool; nothing for a node).
+//! * **Maintenance (1 thread).**  Calls the backend's maintenance hook on an
+//!   interval and on demand: catalog compaction and session expiry on a node,
+//!   health probes of demoted nodes and session expiry on a router.
 //!
-//! The service sits behind a read-write lock: queries take shared read access and
-//! fan each batch out on the work-claiming runner (`top_k_*_batch`), so a single
-//! wire batch saturates cores; ingests and compaction take the write lock.  The
-//! server holds a [`runner`] thread reservation for its own threads, so those
-//! runner fan-outs automatically leave headroom for the accept loop instead of
-//! oversubscribing the machine.
-//!
-//! Shard-partial ingest sessions ([`ShardedIngestState`]) live *outside* the service
-//! lock in a session map: `announce`/`submit` sketch with a clone of the catalog's
-//! estimator and take no service lock at all, so any number of registration sessions
-//! make progress while queries are served; only `ingest-finish` (the catalog commit)
-//! briefly takes the write lock.
+//! A node backend fans each query batch out on the work-claiming runner, so the
+//! front end holds a [`runner`] thread reservation for its own threads and those
+//! fan-outs leave headroom for the reactor instead of oversubscribing the machine.
 //!
 //! Overload is shed at two gates, both surfaced as the typed `overloaded` error
 //! (HTTP `503`) and counted in [`ServerMetrics`]: past the connection cap a new
@@ -42,15 +37,10 @@
 
 use crate::http::{self, HttpRequest};
 use crate::metrics::ServerMetrics;
-use crate::protocol::{
-    ErrorCode, InfoColumn, Mode, Request, RequestBody, Response, ResponseBody, WireCompaction,
-    WireError, WireNote, WireQuery, WireRanked, WireServiceStats, WireSketch,
-};
-use crate::service::{CascadeNote, QueryService, ShardedIngestState};
+use crate::protocol::{ErrorCode, Request, RequestBody, Response, ResponseBody, WireError};
 use crate::wire::Json;
 use ipsketch_core::runner::{self, ThreadReservation};
-use ipsketch_join::{JoinEstimator, SketchedColumn};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use polling::{Event, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -59,6 +49,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+pub use crate::node::serve;
 
 /// Poller key of the line-delimited TCP listener.
 const TCP_LISTENER_KEY: usize = 0;
@@ -220,8 +212,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets how often the maintenance thread compacts the catalog when idle
-    /// (`None` disables periodic passes; ingest-triggered ones still run).
+    /// Sets how often the maintenance thread runs the backend's maintenance pass
+    /// when idle (`None` disables periodic passes; ingest-triggered ones still run).
     #[must_use]
     pub fn maintenance_interval(mut self, interval: Option<Duration>) -> Self {
         self.maintenance_interval = interval;
@@ -321,7 +313,8 @@ impl std::error::Error for ConfigError {}
 /// Running totals of the maintenance thread, exposed for observability and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
-    /// Completed compaction passes.
+    /// Completed maintenance passes: catalog compactions on a node, health-probe
+    /// rounds on a router.
     pub passes: u64,
     /// Total unreferenced files removed across all passes.
     pub files_removed: u64,
@@ -335,11 +328,12 @@ pub struct MaintenanceStats {
 ///
 /// Dropping the handle shuts the server down and joins its threads.
 pub struct ServerHandle {
-    shared: Arc<Shared>,
+    front: Arc<FrontEnd>,
     tcp_addr: Option<SocketAddr>,
     http_addr: Option<SocketAddr>,
     threads: Vec<JoinHandle<()>>,
-    /// Keeps runner headroom for the reactor + workers while the server lives.
+    /// Keeps runner headroom for the reactor + workers while the server lives
+    /// (empty for backends that never fan out on the runner).
     _reservation: ThreadReservation,
 }
 
@@ -359,18 +353,18 @@ impl ServerHandle {
     /// The live observability state: per-op latency histograms, counters, gauges.
     #[must_use]
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.shared.metrics
+        &self.front.metrics
     }
 
     /// Maintenance totals so far.
     #[must_use]
     pub fn maintenance_stats(&self) -> MaintenanceStats {
-        *self.shared.maintenance_stats.lock()
+        *self.front.maintenance_stats.lock()
     }
 
-    /// Asks the maintenance thread for an immediate compaction pass.
+    /// Asks the maintenance thread for an immediate pass.
     pub fn request_maintenance(&self) {
-        self.shared.signal_maintenance();
+        self.front.request_maintenance();
     }
 
     /// Stops accepting, drains nothing further, and joins every thread.  In-flight
@@ -392,10 +386,10 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        self.shared.maint_cv.notify_all();
-        let _ = self.shared.poller.notify();
+        self.front.shutdown.store(true, Ordering::SeqCst);
+        self.front.queue_cv.notify_all();
+        self.front.maint_cv.notify_all();
+        let _ = self.front.poller.notify();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -410,14 +404,36 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts a server over `service` with the validated `config` and returns
-/// immediately with its handle.  Bind addresses may carry port 0 for an ephemeral
-/// port; read them back with [`ServerHandle::tcp_addr`] / [`ServerHandle::http_addr`].
-///
-/// # Errors
-///
-/// Returns the OS error if a listener cannot bind or the reactor cannot be set up.
-pub fn serve(service: QueryService, config: ServerConfig) -> io::Result<ServerHandle> {
+/// A request executor behind the transport: a catalog node or the router.
+pub(crate) trait Backend: Send + Sync + 'static {
+    /// State each worker thread owns for its lifetime (built on that thread).
+    type Worker;
+    /// Whether requests fan out on the sketch runner, so the front end's own
+    /// threads must be reserved out of the runner's pool.
+    const USES_RUNNER: bool;
+
+    /// Builds one worker's private state.
+    fn worker(&self) -> Self::Worker;
+
+    /// Executes one decoded request.
+    fn handle(
+        &self,
+        worker: &mut Self::Worker,
+        body: &RequestBody,
+        front: &FrontEnd,
+    ) -> Result<ResponseBody, WireError>;
+
+    /// One maintenance pass; returns what it did, which the front end adds to
+    /// its [`MaintenanceStats`].
+    fn maintain(&self) -> MaintenanceStats;
+}
+
+/// Starts the transport over `backend` with the validated `config` and returns
+/// immediately with its handle.
+pub(crate) fn serve_backend<B: Backend>(
+    backend: Arc<B>,
+    config: ServerConfig,
+) -> io::Result<ServerHandle> {
     let poller = Poller::new()?;
     let bind = |addr: &str, key: usize| -> io::Result<(TcpListener, SocketAddr)> {
         let listener = TcpListener::bind(addr)?;
@@ -439,19 +455,7 @@ pub fn serve(service: QueryService, config: ServerConfig) -> io::Result<ServerHa
     let (tcp_listener, tcp_addr) = tcp.map_or((None, None), |(l, a)| (Some(l), Some(a)));
     let (http_listener, http_addr) = http.map_or((None, None), |(l, a)| (Some(l), Some(a)));
 
-    // The service's estimator is cloned once for the session map: sharded-ingest
-    // sketching must not need any service lock.  The configuration is immutable for
-    // the catalog's lifetime, so the clone can never go stale.
-    let estimator = service.estimator().clone();
-    let companion_estimator = service.companion_estimator().cloned();
-    let shared = Arc::new(Shared {
-        service: RwLock::new(service),
-        estimator,
-        companion_estimator,
-        sessions: Mutex::new(SessionMap {
-            next_id: 1,
-            slots: HashMap::new(),
-        }),
+    let front = Arc::new(FrontEnd {
         queue: StdMutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
         maint: StdMutex::new(false),
@@ -466,32 +470,37 @@ pub fn serve(service: QueryService, config: ServerConfig) -> io::Result<ServerHa
 
     // Reactor + workers occupy cores for as long as the server runs; reserving them
     // makes every runner-backed batch fan-out leave that headroom automatically.
-    let reservation = runner::reserve_threads(1 + config.workers);
+    let reservation = runner::reserve_threads(if B::USES_RUNNER {
+        1 + config.workers
+    } else {
+        0
+    });
 
     let mut threads = Vec::with_capacity(config.workers + 2);
-    let reactor_shared = Arc::clone(&shared);
+    let reactor_front = Arc::clone(&front);
     threads.push(
         std::thread::Builder::new()
             .name("ipsketch-reactor".to_string())
-            .spawn(move || reactor_loop(&reactor_shared, tcp_listener, http_listener))?,
+            .spawn(move || reactor_loop(&reactor_front, tcp_listener, http_listener))?,
     );
     for worker in 0..config.workers {
-        let worker_shared = Arc::clone(&shared);
+        let worker_front = Arc::clone(&front);
+        let worker_backend = Arc::clone(&backend);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("ipsketch-worker-{worker}"))
-                .spawn(move || worker_loop(&worker_shared))?,
+                .spawn(move || worker_loop(&worker_front, &*worker_backend))?,
         );
     }
-    let maint_shared = Arc::clone(&shared);
+    let maint_front = Arc::clone(&front);
     threads.push(
         std::thread::Builder::new()
             .name("ipsketch-maintenance".to_string())
-            .spawn(move || maintenance_loop(&maint_shared))?,
+            .spawn(move || maintenance_loop(&maint_front, &*backend))?,
     );
 
     Ok(ServerHandle {
-        shared,
+        front,
         tcp_addr,
         http_addr,
         threads,
@@ -530,40 +539,9 @@ struct Outgoing {
     close_after: bool,
 }
 
-/// One live shard-partial ingest session.  The state slot holds `None` while
-/// `ingest-finish` consumes it, so a racing operation on the same session gets a
-/// clean `unknown_session` instead of blocking or corrupting it.
-struct SessionSlot {
-    state: Arc<Mutex<Option<ShardedIngestState>>>,
-    /// When the session was last looked up; maintenance expires sessions whose
-    /// idle time exceeds the configured TTL.
-    touched: Instant,
-}
-
-struct SessionMap {
-    next_id: u64,
-    slots: HashMap<u64, SessionSlot>,
-}
-
-impl SessionMap {
-    /// Looks up a session's state, refreshing its idle clock.
-    fn touch(&mut self, session: u64) -> Option<Arc<Mutex<Option<ShardedIngestState>>>> {
-        self.slots.get_mut(&session).map(|slot| {
-            slot.touched = Instant::now();
-            Arc::clone(&slot.state)
-        })
-    }
-}
-
-/// State shared by the reactor, workers, and maintenance threads.
-struct Shared {
-    service: RwLock<QueryService>,
-    estimator: JoinEstimator,
-    /// Clone of the catalog's companion (cheap-tier) estimator, when it stores
-    /// one: cascade queries sketch their cheap-tier query outside any lock,
-    /// exactly like the primary tier.
-    companion_estimator: Option<JoinEstimator>,
-    sessions: Mutex<SessionMap>,
+/// Transport state shared by the reactor, workers, and maintenance threads; the
+/// backend reaches it while handling a request.
+pub(crate) struct FrontEnd {
     queue: StdMutex<VecDeque<Job>>,
     queue_cv: Condvar,
     /// "A maintenance pass is requested" flag under its condvar's mutex.
@@ -577,8 +555,14 @@ struct Shared {
     config: ServerConfig,
 }
 
-impl Shared {
-    fn signal_maintenance(&self) {
+impl FrontEnd {
+    /// The live observability state (the `server` member of `info`).
+    pub(crate) fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
+    }
+
+    /// Wakes the maintenance thread for an immediate pass.
+    pub(crate) fn request_maintenance(&self) {
         *self
             .maint
             .lock()
@@ -657,28 +641,28 @@ impl Conn {
 }
 
 /// The reactor: owns the listeners and all connection I/O.
-fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListener>) {
+fn reactor_loop(front: &FrontEnd, tcp: Option<TcpListener>, http: Option<TcpListener>) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = FIRST_CONN_KEY;
     let mut events: Vec<Event> = Vec::new();
     loop {
         events.clear();
         // A modest timeout backstops lost wakeups; all real work is notify-driven.
-        if shared
+        if front
             .poller
             .wait(&mut events, Some(Duration::from_millis(500)))
             .is_err()
         {
             // A failing poll(2) is unrecoverable for the reactor; shut down rather
             // than spin.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
-            shared.maint_cv.notify_all();
+            front.shutdown.store(true, Ordering::SeqCst);
+            front.queue_cv.notify_all();
+            front.maint_cv.notify_all();
             return;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if front.shutdown.load(Ordering::SeqCst) {
             for conn in conns.values() {
-                let _ = shared.poller.delete(&conn.stream);
+                let _ = front.poller.delete(&conn.stream);
             }
             return;
         }
@@ -687,18 +671,18 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
             match event.key {
                 TCP_LISTENER_KEY => {
                     if let Some(listener) = &tcp {
-                        accept_ready(shared, listener, Framing::Line, &mut conns, &mut next_key);
+                        accept_ready(front, listener, Framing::Line, &mut conns, &mut next_key);
                     }
                 }
                 HTTP_LISTENER_KEY => {
                     if let Some(listener) = &http {
-                        accept_ready(shared, listener, Framing::Http, &mut conns, &mut next_key);
+                        accept_ready(front, listener, Framing::Http, &mut conns, &mut next_key);
                     }
                 }
                 key => {
                     if let Some(conn) = conns.get_mut(&key) {
                         if event.readable {
-                            read_ready(shared, key, conn);
+                            read_ready(front, key, conn);
                         }
                         if event.writable {
                             flush(conn);
@@ -710,7 +694,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
 
         // Move completed responses from the workers into connection write buffers;
         // each response retires its connection's in-flight request.
-        let outgoing = std::mem::take(&mut *shared.outbox.lock());
+        let outgoing = std::mem::take(&mut *front.outbox.lock());
         for out in outgoing {
             if let Some(conn) = conns.get_mut(&out.conn) {
                 conn.write_buf.extend_from_slice(&out.bytes);
@@ -718,7 +702,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
                 if out.close_after {
                     conn.peer_closed = true;
                 }
-                dispatch_next(shared, out.conn, conn);
+                dispatch_next(front, out.conn, conn);
                 flush(conn);
             }
         }
@@ -729,7 +713,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
         // the connection closes as soon as the error response flushes.
         conns.retain(|&key, conn| {
             if conn.wants_close() {
-                let _ = shared.poller.delete(&conn.stream);
+                let _ = front.poller.delete(&conn.stream);
                 return false;
             }
             let interest = if conn.poisoned {
@@ -739,10 +723,10 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
             } else {
                 Event::all(key)
             };
-            let _ = shared.poller.modify(&conn.stream, interest);
+            let _ = front.poller.modify(&conn.stream, interest);
             true
         });
-        shared
+        front
             .metrics
             .connections_open
             .store(conns.len() as u64, Ordering::Relaxed);
@@ -753,7 +737,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
 /// is answered `overloaded` in its framer's encoding and closed without ever
 /// reaching a worker.
 fn accept_ready(
-    shared: &Shared,
+    front: &FrontEnd,
     listener: &TcpListener,
     framing: Framing,
     conns: &mut HashMap<usize, Conn>,
@@ -765,24 +749,27 @@ fn accept_ready(
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
+                // Each response goes out in one write; Nagle would only hold it
+                // back waiting for the peer's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 let key = *next_key;
                 *next_key += 1;
                 let mut conn = Conn::new(stream, framing);
-                if conns.len() >= shared.config.max_connections {
+                if conns.len() >= front.config.max_connections {
                     // Reject: pre-fill the response, poison so reads never arm and
                     // the connection drops as soon as the bytes flush.
-                    shared
+                    front
                         .metrics
                         .connections_rejected
                         .fetch_add(1, Ordering::Relaxed);
                     let response = http::overloaded_response(&format!(
                         "connection cap of {} reached; retry after backoff",
-                        shared.config.max_connections
+                        front.config.max_connections
                     ));
                     conn.write_buf = encode_for(framing, &response, false);
                     conn.poisoned = true;
                 }
-                if shared.poller.add(&conn.stream, Event::all(key)).is_ok() {
+                if front.poller.add(&conn.stream, Event::all(key)).is_ok() {
                     conns.insert(key, conn);
                 }
             }
@@ -821,7 +808,7 @@ const READS_PER_EVENT: usize = 64;
 /// Reads what is available (bounded per event), frames requests eagerly so the
 /// size bound applies *per request* — a pipelined burst of individually legal
 /// requests is never rejected on its aggregate size — and dispatches if idle.
-fn read_ready(shared: &Shared, key: usize, conn: &mut Conn) {
+fn read_ready(front: &FrontEnd, key: usize, conn: &mut Conn) {
     if conn.poisoned {
         // Nothing past a broken frame is decodable; stop consuming input so the
         // connection reaches its flush-then-close state instead of buffering an
@@ -838,8 +825,8 @@ fn read_ready(shared: &Shared, key: usize, conn: &mut Conn) {
             Ok(n) => {
                 conn.read_buf.extend_from_slice(&chunk[..n]);
                 match conn.framing {
-                    Framing::Line => frame_lines(shared, conn),
-                    Framing::Http => frame_http(shared, conn),
+                    Framing::Line => frame_lines(front, conn),
+                    Framing::Http => frame_http(front, conn),
                 }
                 if conn.poisoned {
                     break;
@@ -853,31 +840,31 @@ fn read_ready(shared: &Shared, key: usize, conn: &mut Conn) {
             }
         }
     }
-    dispatch_next(shared, key, conn);
+    dispatch_next(front, key, conn);
 }
 
 /// Frames complete lines off a line-framed connection's read buffer.
-fn frame_lines(shared: &Shared, conn: &mut Conn) {
+fn frame_lines(front: &FrontEnd, conn: &mut Conn) {
     for line in drain_lines(&mut conn.read_buf) {
-        if line.len() > shared.config.max_line_bytes {
-            poison_too_large(shared, conn);
+        if line.len() > front.config.max_line_bytes {
+            poison_too_large(front, conn);
             return;
         }
         conn.pending.push_back(Payload::Line(line));
     }
     // Only the *unframed tail* is held to the bound: a single line still growing
     // past it can never complete legally.
-    if conn.read_buf.len() > shared.config.max_line_bytes {
-        poison_too_large(shared, conn);
+    if conn.read_buf.len() > front.config.max_line_bytes {
+        poison_too_large(front, conn);
     }
 }
 
 /// Frames complete HTTP requests off an HTTP connection's read buffer.  A framing
 /// violation poisons the connection with the typed closing response; `Expect:
 /// 100-continue` earns one interim response per request.
-fn frame_http(shared: &Shared, conn: &mut Conn) {
+fn frame_http(front: &FrontEnd, conn: &mut Conn) {
     loop {
-        match http::try_frame(&mut conn.read_buf, shared.config.max_line_bytes) {
+        match http::try_frame(&mut conn.read_buf, front.config.max_line_bytes) {
             Ok(http::FrameStep::Request(request)) => {
                 conn.sent_continue = false;
                 conn.pending.push_back(Payload::Http(request));
@@ -890,7 +877,7 @@ fn frame_http(shared: &Shared, conn: &mut Conn) {
                 return;
             }
             Err(e) => {
-                shared.metrics.record("invalid", Duration::ZERO, true);
+                front.metrics.record("invalid", Duration::ZERO, true);
                 conn.poison_response = Some(http::encode_framing_error(&e));
                 conn.read_buf.clear();
                 conn.poisoned = true;
@@ -905,18 +892,18 @@ fn frame_http(shared: &Shared, conn: &mut Conn) {
 /// and the `too_large` error goes out last (see [`dispatch_next`]) before the
 /// close.  Idempotent: a line crossing the bound more than once still earns one
 /// response.
-fn poison_too_large(shared: &Shared, conn: &mut Conn) {
+fn poison_too_large(front: &FrontEnd, conn: &mut Conn) {
     if conn.poisoned {
         return;
     }
-    shared.metrics.record("invalid", Duration::ZERO, true);
+    front.metrics.record("invalid", Duration::ZERO, true);
     let response = Response {
         id: Json::Null,
         result: Err(WireError {
             code: ErrorCode::TooLarge,
             message: format!(
                 "request line exceeds the {}-byte bound",
-                shared.config.max_line_bytes
+                front.config.max_line_bytes
             ),
         }),
     };
@@ -932,24 +919,21 @@ fn poison_too_large(shared: &Shared, conn: &mut Conn) {
 /// connection stays usable.  On a poisoned connection, the stored framing error is
 /// emitted only once every earlier request has been answered, preserving response
 /// order.
-fn dispatch_next(shared: &Shared, key: usize, conn: &mut Conn) {
+fn dispatch_next(front: &FrontEnd, key: usize, conn: &mut Conn) {
     if conn.in_flight {
         return;
     }
     while let Some(payload) = conn.pending.pop_front() {
-        let mut queue = shared
+        let mut queue = front
             .queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if queue.len() >= shared.config.max_queue_depth {
+        if queue.len() >= front.config.max_queue_depth {
             drop(queue);
-            shared
-                .metrics
-                .queue_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            front.metrics.queue_rejected.fetch_add(1, Ordering::Relaxed);
             let response = http::overloaded_response(&format!(
                 "request queue is full ({} queued); retry after backoff",
-                shared.config.max_queue_depth
+                front.config.max_queue_depth
             ));
             let keep_alive = match &payload {
                 Payload::Line(_) => true,
@@ -963,13 +947,13 @@ fn dispatch_next(shared: &Shared, key: usize, conn: &mut Conn) {
             continue;
         }
         queue.push_back(Job { conn: key, payload });
-        shared
+        front
             .metrics
             .queue_depth
             .store(queue.len() as u64, Ordering::Relaxed);
         drop(queue);
         conn.in_flight = true;
-        shared.queue_cv.notify_one();
+        front.queue_cv.notify_one();
         return;
     }
     if let Some(bytes) = conn.poison_response.take() {
@@ -999,27 +983,29 @@ fn flush(conn: &mut Conn) {
     }
 }
 
-/// A worker: executes framed requests against the shared state, timing each one
-/// into the metrics under its op label.
-fn worker_loop(shared: &Shared) {
+/// A worker: hands framed requests to the backend, timing each one into the
+/// metrics under its op label.
+fn worker_loop<B: Backend>(front: &FrontEnd, backend: &B) {
+    let mut state = backend.worker();
+    let mut execute = |body: &RequestBody| backend.handle(&mut state, body, front);
     loop {
         let job = {
-            let mut queue = shared
+            let mut queue = front
                 .queue
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if front.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if let Some(job) = queue.pop_front() {
-                    shared
+                    front
                         .metrics
                         .queue_depth
                         .store(queue.len() as u64, Ordering::Relaxed);
                     break job;
                 }
-                queue = shared
+                queue = front
                     .queue_cv
                     .wait(queue)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1028,26 +1014,29 @@ fn worker_loop(shared: &Shared) {
         let started = Instant::now();
         let (bytes, op, is_error, close_after) = match &job.payload {
             Payload::Line(line) => {
-                let (response, op) = handle_line(shared, line);
+                let (response, op) = handle_line(line, &mut execute);
                 let mut bytes = response.encode().into_bytes();
                 bytes.push(b'\n');
                 (bytes, op, response.result.is_err(), false)
             }
-            Payload::Http(request) => handle_http(shared, request),
+            Payload::Http(request) => handle_http(request, &mut execute),
         };
-        shared.metrics.record(op, started.elapsed(), is_error);
-        shared.outbox.lock().push(Outgoing {
+        front.metrics.record(op, started.elapsed(), is_error);
+        front.outbox.lock().push(Outgoing {
             conn: job.conn,
             bytes,
             close_after,
         });
-        let _ = shared.poller.notify();
+        let _ = front.poller.notify();
     }
 }
 
+/// The backend call a worker makes for one decoded request body.
+type Execute<'a> = dyn FnMut(&RequestBody) -> Result<ResponseBody, WireError> + 'a;
+
 /// Parses and executes one line-framed request; returns the response and the op
 /// label to account it under (`"invalid"` when no op could be decoded).
-fn handle_line(shared: &Shared, line: &[u8]) -> (Response, &'static str) {
+fn handle_line(line: &[u8], execute: &mut Execute<'_>) -> (Response, &'static str) {
     let text = match std::str::from_utf8(line) {
         Ok(text) => text,
         Err(_) => {
@@ -1075,7 +1064,7 @@ fn handle_line(shared: &Shared, line: &[u8]) -> (Response, &'static str) {
     let op = request.body.op();
     (
         Response {
-            result: execute(shared, &request.body),
+            result: execute(&request.body),
             id: request.id,
         },
         op,
@@ -1085,7 +1074,10 @@ fn handle_line(shared: &Shared, line: &[u8]) -> (Response, &'static str) {
 /// Routes, decodes, and executes one HTTP request; returns the complete response
 /// bytes, the op label, whether the outcome was an error, and whether the
 /// connection must close after the response flushes.
-fn handle_http(shared: &Shared, request: &HttpRequest) -> (Vec<u8>, &'static str, bool, bool) {
+fn handle_http(
+    request: &HttpRequest,
+    execute: &mut Execute<'_>,
+) -> (Vec<u8>, &'static str, bool, bool) {
     let keep_alive = request.keep_alive;
     let close_after = !keep_alive;
     let (path, query_string) = http::split_target(&request.target);
@@ -1127,7 +1119,7 @@ fn handle_http(shared: &Shared, request: &HttpRequest) -> (Vec<u8>, &'static str
     match typed {
         Ok(typed) => {
             let response = Response {
-                result: execute(shared, &typed.body),
+                result: execute(&typed.body),
                 id: typed.id,
             };
             let is_error = response.result.is_err();
@@ -1153,352 +1145,19 @@ fn handle_http(shared: &Shared, request: &HttpRequest) -> (Vec<u8>, &'static str
     }
 }
 
-/// Executes a decoded request body against the shared state.
-fn execute(shared: &Shared, body: &RequestBody) -> Result<ResponseBody, WireError> {
-    match body {
-        RequestBody::Info { server } => {
-            let service = shared.service.read();
-            let stats = service.stats();
-            Ok(ResponseBody::Info {
-                columns: service
-                    .catalog()
-                    .live_entries()
-                    .map(|e| InfoColumn {
-                        table: e.table.clone(),
-                        column: e.column.clone(),
-                        rows: e.rows,
-                    })
-                    .collect(),
-                stats: Some(WireServiceStats {
-                    columns: stats.columns as u64,
-                    hydrated: stats.hydrated as u64,
-                    bytes_on_disk: stats.bytes_on_disk,
-                    last_compaction: stats.last_compaction.as_ref().map(|report| WireCompaction {
-                        removed_files: report.removed_files.len() as u64,
-                        live_columns: report.live_columns as u64,
-                    }),
-                }),
-                sketcher: stats.sketcher,
-                fingerprint: stats.fingerprint,
-                method: stats.method,
-                format: Some(stats.format),
-                server: server.then(|| shared.metrics.snapshot()),
-                // Single catalog nodes never report cluster state; only the
-                // router synthesizes info responses with a `cluster` member.
-                cluster: None,
-            })
-        }
-        RequestBody::Query {
-            mode,
-            k,
-            min_join_size,
-            cascade,
-            query,
-        } => {
-            let (rankings, note) = run_batch(
-                shared,
-                std::slice::from_ref(query),
-                *mode,
-                *k,
-                *min_join_size,
-                *cascade,
-            )?;
-            let [ranking] =
-                <[Vec<WireRanked>; 1]>::try_from(rankings).expect("one query yields one ranking");
-            Ok(ResponseBody::Ranking { ranking, note })
-        }
-        RequestBody::BatchQuery {
-            mode,
-            k,
-            min_join_size,
-            cascade,
-            queries,
-        } => {
-            let (rankings, note) = run_batch(shared, queries, *mode, *k, *min_join_size, *cascade)?;
-            Ok(ResponseBody::Rankings { rankings, note })
-        }
-        RequestBody::Ingest { table, partitions } => {
-            let table = table.to_table()?;
-            // Sketch every column *outside* the service lock (the expensive part —
-            // seconds for a large table), so queries keep flowing; only the final
-            // registration commit below needs exclusive access.
-            let mut sketched = Vec::new();
-            let mut companions = Vec::new();
-            let mut skipped = Vec::new();
-            for column in table.columns() {
-                let result = match partitions {
-                    Some(partitions) => shared.estimator.sketch_column_partitioned(
-                        &table,
-                        &column.name,
-                        usize::try_from(*partitions).unwrap_or(usize::MAX),
-                    ),
-                    None => shared.estimator.sketch_column(&table, &column.name),
-                };
-                match result {
-                    Ok(primary) => {
-                        // The companion (cheap-tier) sketch is always built
-                        // one-shot: its sketchers are mergeable, so the result
-                        // is independent of the primary's partitioning.
-                        let companion = match &shared.companion_estimator {
-                            Some(est) => Some(
-                                est.sketch_column(&table, &column.name)
-                                    .map_err(WireError::from)?,
-                            ),
-                            None => None,
-                        };
-                        sketched.push(primary);
-                        companions.push(companion);
-                    }
-                    Err(ipsketch_join::JoinError::EmptyColumn { .. }) => {
-                        skipped.push(column.name.clone());
-                    }
-                    Err(other) => return Err(other.into()),
-                }
-            }
-            let report = shared
-                .service
-                .write()
-                .register_sketched_with_companions(sketched, companions)
-                .map_err(WireError::from)?;
-            shared.signal_maintenance();
-            Ok(ResponseBody::Report {
-                registered: report.registered,
-                skipped,
-            })
-        }
-        RequestBody::IngestBegin { table } => {
-            let mut sessions = shared.sessions.lock();
-            let id = sessions.next_id;
-            sessions.next_id += 1;
-            sessions.slots.insert(
-                id,
-                SessionSlot {
-                    state: Arc::new(Mutex::new(Some(
-                        ShardedIngestState::new(table.clone())
-                            .with_companion(shared.companion_estimator.clone()),
-                    ))),
-                    touched: Instant::now(),
-                },
-            );
-            Ok(ResponseBody::Session(id))
-        }
-        RequestBody::IngestAnnounce { session, shard } => {
-            with_session(shared, *session, |state| {
-                state.announce(&shard.to_table()?).map_err(WireError::from)
-            })?;
-            Ok(ResponseBody::Session(*session))
-        }
-        RequestBody::IngestSubmit { session, shard } => {
-            with_session(shared, *session, |state| {
-                state
-                    .submit(&shared.estimator, &shard.to_table()?)
-                    .map_err(WireError::from)
-            })?;
-            Ok(ResponseBody::Session(*session))
-        }
-        RequestBody::IngestFinish { session } => {
-            let slot = shared
-                .sessions
-                .lock()
-                .touch(*session)
-                .ok_or_else(|| unknown_session(*session))?;
-            // Take the state out of its slot first, so a racing second finish (or
-            // announce/submit) observes an empty slot — not a deadlock on the
-            // service write lock below.
-            let state = slot
-                .lock()
-                .take()
-                .ok_or_else(|| unknown_session(*session))?;
-            // The session is consumed whether the commit succeeds or fails (its
-            // partial sketches are moved into the registration); drop the map entry.
-            shared.sessions.lock().slots.remove(session);
-            let result = shared.service.write().finish_sharded_ingest(state);
-            let report = result.map_err(WireError::from)?;
-            shared.signal_maintenance();
-            Ok(ResponseBody::Report {
-                registered: report.registered,
-                skipped: report.skipped,
-            })
-        }
-        RequestBody::DropColumn { table, column } => {
-            shared
-                .service
-                .write()
-                .drop_column(table, column)
-                .map_err(WireError::from)?;
-            // The tombstoned blob is garbage now; let the maintenance thread's
-            // next compaction pass reclaim it.
-            shared.signal_maintenance();
-            Ok(ResponseBody::Dropped {
-                table: table.clone(),
-                column: column.clone(),
-            })
-        }
-        RequestBody::ExportColumn { table, column } => {
-            let service = shared.service.read();
-            let (rows, bytes) = service
-                .catalog()
-                .export_blob(table, column)
-                .map_err(WireError::from)?;
-            Ok(ResponseBody::Sketch(WireSketch {
-                table: table.clone(),
-                column: column.clone(),
-                rows,
-                bytes,
-            }))
-        }
-        RequestBody::ImportColumn { sketch } => {
-            let registered = shared
-                .service
-                .write()
-                .import_sketched_blob(&sketch.table, &sketch.column, &sketch.bytes)
-                .map_err(WireError::from)?;
-            shared.signal_maintenance();
-            Ok(ResponseBody::Report {
-                registered: if registered {
-                    vec![(sketch.table.clone(), sketch.column.clone())]
-                } else {
-                    Vec::new()
-                },
-                skipped: if registered {
-                    Vec::new()
-                } else {
-                    vec![sketch.column.clone()]
-                },
-            })
-        }
-    }
-}
-
-fn unknown_session(session: u64) -> WireError {
-    WireError {
-        code: ErrorCode::UnknownSession,
-        message: format!("no live ingest session {session} (finished, failed, or never begun)"),
-    }
-}
-
-/// Runs `f` on the live state of `session`, refreshing its idle clock.
-fn with_session<T>(
-    shared: &Shared,
-    session: u64,
-    f: impl FnOnce(&mut ShardedIngestState) -> Result<T, WireError>,
-) -> Result<T, WireError> {
-    let slot = shared
-        .sessions
-        .lock()
-        .touch(session)
-        .ok_or_else(|| unknown_session(session))?;
-    let mut guard = slot.lock();
-    let state = guard.as_mut().ok_or_else(|| unknown_session(session))?;
-    f(state)
-}
-
-/// Sketches the query columns and ranks them as one runner-backed batch, under a
-/// shared read lock — the same code path as `QueryService::query_*_batch`, so wire
-/// answers are bit-identical to in-process answers.
-fn run_batch(
-    shared: &Shared,
-    queries: &[WireQuery],
-    mode: Mode,
-    k: u64,
-    min_join_size: f64,
-    cascade: bool,
-) -> Result<(Vec<Vec<WireRanked>>, Option<WireNote>), WireError> {
-    if cascade && mode == Mode::Related {
-        return Err(WireError::bad_request(
-            "`cascade` applies to `joinable` queries only",
-        ));
-    }
-    let k = usize::try_from(k).unwrap_or(usize::MAX);
-    // A cascade request against a catalog with no companion tier is answered by
-    // the flat scan with an advisory note — never an error (the answer is the
-    // same ranking, just computed the slow way).
-    let companion_est = if cascade {
-        shared.companion_estimator.as_ref()
-    } else {
-        None
-    };
-    let note = if cascade && companion_est.is_none() {
-        let fallback = CascadeNote::fallback();
-        Some(WireNote {
-            code: fallback.code.to_string(),
-            message: fallback.message,
-        })
-    } else {
-        None
-    };
-    // Sketch the query columns *outside* any lock, with the immutable estimator
-    // clone (identical configuration → bit-identical sketches): the CPU-heavy
-    // phase of a large batch must never hold the read lock, or it would stall
-    // ingest commits and compaction behind it (and, on writer-preferring lock
-    // implementations, every later query behind those).
-    let mut sketched: Vec<SketchedColumn> = Vec::with_capacity(queries.len());
-    let mut cascade_pairs: Vec<(SketchedColumn, SketchedColumn)> = Vec::new();
-    for query in queries {
-        let table = query.to_table()?;
-        let primary = shared
-            .estimator
-            .sketch_column(&table, &query.column)
-            .map_err(WireError::from)?;
-        if let Some(est) = companion_est {
-            let companion = est
-                .sketch_column(&table, &query.column)
-                .map_err(WireError::from)?;
-            cascade_pairs.push((primary.clone(), companion));
-        }
-        sketched.push(primary);
-    }
+/// The maintenance thread: runs the backend's maintenance pass periodically and
+/// on demand.
+fn maintenance_loop<B: Backend>(front: &FrontEnd, backend: &B) {
     loop {
         {
-            let service = shared.service.read();
-            if service.is_fully_hydrated() {
-                let rankings = match mode {
-                    Mode::Joinable if companion_est.is_some() => {
-                        service.index().top_k_joinable_cascade_batch(
-                            &cascade_pairs,
-                            k,
-                            ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-                        )
-                    }
-                    Mode::Joinable => service.index().top_k_joinable_batch(&sketched, k),
-                    Mode::Related => {
-                        service
-                            .index()
-                            .top_k_correlated_batch(&sketched, k, min_join_size)
-                    }
-                }
-                .map_err(WireError::from)?;
-                return Ok((
-                    rankings
-                        .iter()
-                        .map(|ranking| ranking.iter().map(WireRanked::from).collect())
-                        .collect(),
-                    note,
-                ));
-            }
-        }
-        // Columns exist that are not in the index yet (catalog opened cold):
-        // hydrate under the write lock, then retry the read-locked fast path.
-        shared
-            .service
-            .write()
-            .ensure_hydrated()
-            .map_err(WireError::from)?;
-    }
-}
-
-/// The maintenance thread: compacts the catalog periodically and on demand.
-fn maintenance_loop(shared: &Shared) {
-    loop {
-        {
-            let mut pending = shared
+            let mut pending = front
                 .maint
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            while !*pending && !shared.shutdown.load(Ordering::SeqCst) {
-                match shared.config.maintenance_interval {
+            while !*pending && !front.shutdown.load(Ordering::SeqCst) {
+                match front.config.maintenance_interval {
                     Some(interval) => {
-                        let (guard, timeout) = shared
+                        let (guard, timeout) = front
                             .maint_cv
                             .wait_timeout(pending, interval)
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1508,38 +1167,24 @@ fn maintenance_loop(shared: &Shared) {
                         }
                     }
                     None => {
-                        pending = shared
+                        pending = front
                             .maint_cv
                             .wait(pending)
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
                     }
                 }
             }
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if front.shutdown.load(Ordering::SeqCst) {
                 return;
             }
             *pending = false;
         }
-        // Expire ingest sessions idle past the TTL before compacting: their folded
-        // partial sketches are the only server-side state a vanished client leaks.
-        let expired = {
-            let mut sessions = shared.sessions.lock();
-            let before = sessions.slots.len();
-            sessions
-                .slots
-                .retain(|_, slot| slot.touched.elapsed() <= shared.config.session_ttl);
-            (before - sessions.slots.len()) as u64
-        };
-        let result = shared.service.write().compact();
-        let mut stats = shared.maintenance_stats.lock();
-        stats.sessions_expired += expired;
-        match result {
-            Ok(report) => {
-                stats.passes += 1;
-                stats.files_removed += report.removed_files.len() as u64;
-            }
-            Err(_) => stats.failures += 1,
-        }
+        let pass = backend.maintain();
+        let mut stats = front.maintenance_stats.lock();
+        stats.passes += pass.passes;
+        stats.files_removed += pass.files_removed;
+        stats.failures += pass.failures;
+        stats.sessions_expired += pass.sessions_expired;
     }
 }
 

@@ -228,19 +228,17 @@ impl QueryService {
         &self.catalog
     }
 
-    /// The in-memory index the service ranks with.  Combined with
-    /// [`is_fully_hydrated`](Self::is_fully_hydrated), this is the shared-read path a
-    /// concurrent front end takes: hydrate once under an exclusive lock, then answer
-    /// any number of queries through `&self` under a shared lock (the batch methods
-    /// of [`SketchIndex`] are exactly the ones the `query_*` methods here call).
+    /// The in-memory index the service ranks with.  Queries should go through
+    /// [`rank`](Self::rank) (or the `query_*` methods), which own the choice of
+    /// scan; this accessor is for introspection and per-layer measurement.
     #[must_use]
     pub fn index(&self) -> &SketchIndex {
         &self.index
     }
 
     /// Whether every cataloged column is already hydrated into the index — i.e.
-    /// whether queries can run without the exclusive access
-    /// [`ensure_hydrated`](Self::ensure_hydrated) needs.
+    /// whether [`rank`](Self::rank) sees the whole catalog without the exclusive
+    /// access [`ensure_hydrated`](Self::ensure_hydrated) needs.
     #[must_use]
     pub fn is_fully_hydrated(&self) -> bool {
         self.hydrated.len() == self.catalog.len()
@@ -611,6 +609,72 @@ impl QueryService {
         self.index.sketch_companion_query(table, column)
     }
 
+    /// Ranks a batch of query sketches against the index under shared access;
+    /// result `i` ranks query `i`, in parallel on the work-claiming runner.  This
+    /// is the one ranking switch of the crate: every `query_*` method and the
+    /// network front end answer through it, so their answers are bit-identical.
+    ///
+    /// It ranks what the index holds and never hydrates: callers with exclusive
+    /// access run [`ensure_hydrated`](Self::ensure_hydrated) first (the `query_*`
+    /// methods do), and a front end does so once before serving.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failure — batches are all-or-nothing.
+    ///
+    /// # Panics
+    ///
+    /// If a [`Scan::Cascade`] carries a companion count different from the query
+    /// count.
+    pub fn rank(
+        &self,
+        queries: &[SketchedColumn],
+        k: usize,
+        scan: Scan<'_>,
+    ) -> Result<(Vec<Vec<RankedColumn>>, Option<CascadeNote>), CatalogError> {
+        let index = &self.index;
+        Ok(match scan {
+            Scan::Joinable => (index.top_k_joinable_batch(queries, k)?, None),
+            Scan::Related { min_join_size } => (
+                index.top_k_correlated_batch(queries, k, min_join_size)?,
+                None,
+            ),
+            Scan::Cascade {
+                companions: Some(companions),
+                confidence,
+            } if index.companion_estimator().is_some() => {
+                assert_eq!(
+                    companions.len(),
+                    queries.len(),
+                    "one companion sketch per query"
+                );
+                let pairs: Vec<_> = queries.iter().zip(companions).collect();
+                (
+                    index.top_k_joinable_cascade_batch(&pairs, k, confidence)?,
+                    None,
+                )
+            }
+            Scan::Cascade { .. } => (
+                index.top_k_joinable_batch(queries, k)?,
+                Some(CascadeNote::fallback()),
+            ),
+        })
+    }
+
+    /// Hydrates, then answers one query through [`rank`](Self::rank).
+    fn rank_one(
+        &mut self,
+        query: &SketchedColumn,
+        k: usize,
+        scan: Scan<'_>,
+    ) -> Result<(Vec<RankedColumn>, Option<CascadeNote>), CatalogError> {
+        self.ensure_hydrated()?;
+        let (rankings, note) = self.rank(std::slice::from_ref(query), k, scan)?;
+        let [ranking] =
+            <[Vec<RankedColumn>; 1]>::try_from(rankings).expect("one query yields one ranking");
+        Ok((ranking, note))
+    }
+
     /// Ranks all served columns by estimated join size with the query and returns the
     /// top `k`.
     ///
@@ -622,8 +686,7 @@ impl QueryService {
         query: &SketchedColumn,
         k: usize,
     ) -> Result<Vec<RankedColumn>, CatalogError> {
-        self.ensure_hydrated()?;
-        Ok(self.index.top_k_joinable(query, k)?)
+        Ok(self.rank_one(query, k, Scan::Joinable)?.0)
     }
 
     /// [`query_joinable`](Self::query_joinable) through the two-tier cascade: the
@@ -652,19 +715,15 @@ impl QueryService {
         k: usize,
         confidence: f64,
     ) -> Result<(Vec<RankedColumn>, Option<CascadeNote>), CatalogError> {
-        self.ensure_hydrated()?;
-        match companion_query {
-            Some(cq) if self.index.companion_estimator().is_some() => {
-                let (ranking, _stats) = self
-                    .index
-                    .top_k_joinable_cascade(query, cq, k, confidence)?;
-                Ok((ranking, None))
-            }
-            _ => Ok((
-                self.index.top_k_joinable(query, k)?,
-                Some(CascadeNote::fallback()),
-            )),
-        }
+        let companions = companion_query.map(std::slice::from_ref);
+        self.rank_one(
+            query,
+            k,
+            Scan::Cascade {
+                companions,
+                confidence,
+            },
+        )
     }
 
     /// Answers a batch of cascade queries (see
@@ -683,31 +742,20 @@ impl QueryService {
         confidence: f64,
     ) -> Result<(Vec<Vec<RankedColumn>>, Option<CascadeNote>), CatalogError> {
         self.ensure_hydrated()?;
-        if self.index.companion_estimator().is_some()
-            && queries.iter().all(|(_, companion)| companion.is_some())
-        {
-            let pairs: Vec<(SketchedColumn, SketchedColumn)> = queries
-                .iter()
-                .map(|(query, companion)| {
-                    (
-                        query.clone(),
-                        companion.clone().expect("all companions checked above"),
-                    )
-                })
-                .collect();
-            Ok((
-                self.index
-                    .top_k_joinable_cascade_batch(&pairs, k, confidence)?,
-                None,
-            ))
-        } else {
-            let flat: Vec<SketchedColumn> =
-                queries.iter().map(|(query, _)| query.clone()).collect();
-            Ok((
-                self.index.top_k_joinable_batch(&flat, k)?,
-                Some(CascadeNote::fallback()),
-            ))
-        }
+        let primaries: Vec<SketchedColumn> =
+            queries.iter().map(|(query, _)| query.clone()).collect();
+        let companions: Option<Vec<SketchedColumn>> = queries
+            .iter()
+            .map(|(_, companion)| companion.clone())
+            .collect();
+        self.rank(
+            &primaries,
+            k,
+            Scan::Cascade {
+                companions: companions.as_deref(),
+                confidence,
+            },
+        )
     }
 
     /// Ranks all served columns by |estimated post-join correlation| and returns the
@@ -723,8 +771,7 @@ impl QueryService {
         k: usize,
         min_join_size: f64,
     ) -> Result<Vec<RankedColumn>, CatalogError> {
-        self.ensure_hydrated()?;
-        Ok(self.index.top_k_correlated(query, k, min_join_size)?)
+        Ok(self.rank_one(query, k, Scan::Related { min_join_size })?.0)
     }
 
     /// Answers a batch of joinability queries; result `i` ranks query `i`.  The batch
@@ -741,7 +788,7 @@ impl QueryService {
         k: usize,
     ) -> Result<Vec<Vec<RankedColumn>>, CatalogError> {
         self.ensure_hydrated()?;
-        Ok(self.index.top_k_joinable_batch(queries, k)?)
+        Ok(self.rank(queries, k, Scan::Joinable)?.0)
     }
 
     /// Answers a batch of relatedness queries; result `i` ranks query `i`, ranked in
@@ -757,10 +804,31 @@ impl QueryService {
         min_join_size: f64,
     ) -> Result<Vec<Vec<RankedColumn>>, CatalogError> {
         self.ensure_hydrated()?;
-        Ok(self
-            .index
-            .top_k_correlated_batch(queries, k, min_join_size)?)
+        Ok(self.rank(queries, k, Scan::Related { min_join_size })?.0)
     }
+}
+
+/// What a [`QueryService::rank`] pass computes.
+#[derive(Debug, Clone, Copy)]
+pub enum Scan<'a> {
+    /// Top-k by estimated join size: the flat scan.
+    Joinable,
+    /// Top-k by estimated join size through the two-tier cascade.  `companions[i]`
+    /// is query `i`'s cheap-tier sketch; without them, or on a catalog with no
+    /// companion tier, the flat scan answers with a [`CascadeNote`].
+    Cascade {
+        /// One companion-tier query sketch per query, when the caller has them.
+        companions: Option<&'a [SketchedColumn]>,
+        /// The Table 1 bound scale, see
+        /// [`DEFAULT_CASCADE_CONFIDENCE`](ipsketch_join::DEFAULT_CASCADE_CONFIDENCE).
+        confidence: f64,
+    },
+    /// Top-k by |estimated post-join correlation| among candidates whose estimated
+    /// join size reaches `min_join_size`.
+    Related {
+        /// The join-size floor below which candidates are excluded.
+        min_join_size: f64,
+    },
 }
 
 /// The coordinator state of one two-pass shard-partial ingest session, owned and

@@ -870,3 +870,40 @@ fn cascaded_queries_route_bit_identically_and_fall_back_deterministically() {
     cleanup(single);
     fs::remove_dir_all(&twin_root).expect("cleanup");
 }
+
+#[test]
+fn invalid_utf8_request_lines_are_rejected_identically_by_node_and_router() {
+    let nodes = boot_nodes("utf8", 29, 1);
+    let router = boot_router(tcp_specs(&nodes), 1);
+    let line: &[u8] = b"{\"op\":\"info\",\"x\":\"\xFF\"}\n";
+    let answer = |addr| {
+        let mut client = Client::connect(addr);
+        client.writer.write_all(line).expect("send");
+        client.recv_raw()
+    };
+    let via_node = answer(nodes[0].handle.tcp_addr().expect("tcp"));
+    let via_router = answer(router.addr());
+    assert_eq!(
+        via_router, via_node,
+        "the router must reject undecodable bytes exactly like a node"
+    );
+    let error = Response::decode(&via_router)
+        .expect("well-formed")
+        .result
+        .expect_err("invalid UTF-8 is never executed");
+    assert_eq!(error.code, ErrorCode::BadRequest);
+    router.shutdown();
+    cleanup(nodes);
+}
+
+#[test]
+fn dropping_a_router_handle_releases_its_port() {
+    let nodes = boot_nodes("drop", 31, 1);
+    let router = boot_router(tcp_specs(&nodes), 1);
+    let addr = router.addr();
+    Client::connect(addr);
+    drop(router);
+    let error = TcpStream::connect(addr).expect_err("the listener must be closed");
+    assert_eq!(error.kind(), std::io::ErrorKind::ConnectionRefused);
+    cleanup(nodes);
+}
