@@ -19,11 +19,11 @@
 //!   (ε = 1/16, confidence 10) is ~62% of the largest possible key
 //!   intersection — wider than any realistic document-overlap gap — so no
 //!   candidate can be pruned and the cascade degenerates to the flat scan
-//!   plus one cheap pass (≈ break-even latency, recall still exactly 1.0).
+//!   plus one cheap pass (slower than flat, recall still exactly 1.0).
 //!   The row records that degeneration honestly instead of hiding it.
 //!
 //! For each workload the same queries run through [`QueryService`] twice —
-//! `query_joinable` (flat: every candidate pays the primary estimate) and
+//! `query_joinable` (flat: every candidate pays one primary join-size estimate) and
 //! `query_joinable_cascade` at the default confidence — and the report records
 //! mean/p50 per-query latency for both, the speedup, and recall@k of the
 //! cascade against the flat scan (the contract says 1.0: at the default margin
@@ -35,14 +35,16 @@
 //!
 //! * `IPSKETCH_BENCH_QUICK=1` — CI-sized runs under the `quick` profile;
 //! * `IPSKETCH_BENCH_ENFORCE=1` — exit non-zero if any workload's measured
-//!   speedup falls below 75% of the committed same-profile baseline, or if
-//!   recall@k slips below 1.0;
+//!   speedup falls below 75% of the committed same-profile baseline, if its
+//!   flat or cascade per-query p50 rises more than 25% above the committed
+//!   same-profile p50, or if recall@k slips below 1.0;
 //! * `IPSKETCH_BENCH_OUT` — write the merged report elsewhere (the committed
 //!   file stays the enforcement baseline).
 //!
 //! Committed-baseline convention: single runs on shared machines jitter, so
-//! committed speedups are a conservative floor across repeated runs on the
-//! reference machine, not one lucky run.
+//! each committed field is the most conservative value across repeated runs
+//! on the reference machine — the lowest speedup, the highest latencies — not
+//! one lucky run.
 
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_data::text::CorpusConfig;
@@ -520,6 +522,19 @@ fn main() {
                         "{}: {:.2}x vs baseline {:.2}x",
                         base.workload, now.speedup, base.speedup
                     ));
+                }
+                // Absolute per-path gates: the ratio alone cannot see both paths
+                // slowing down together.
+                for (path, now_us, base_us) in [
+                    ("flat", now.flat_p50_us, base.flat_p50_us),
+                    ("cascade", now.cascade_p50_us, base.cascade_p50_us),
+                ] {
+                    if now_us as f64 > 1.25 * base_us as f64 {
+                        failures.push(format!(
+                            "{}: {path} p50 {now_us} us vs baseline {base_us} us",
+                            base.workload
+                        ));
+                    }
                 }
             }
         } else {

@@ -416,10 +416,18 @@ impl JoinEstimator {
         a: &SketchedColumn,
         b: &SketchedColumn,
     ) -> Result<JoinStatistics, JoinError> {
-        let join_size = self
-            .sketcher
-            .estimate_inner_product(&a.key_indicator, &b.key_indicator)?
-            .max(0.0);
+        self.estimate_given_join_size(a, b, self.estimate_join_size(a, b)?)
+    }
+
+    /// [`estimate`](Self::estimate) given the pair's already estimated join size: the
+    /// five remaining Figure-3 inner products, for callers that scored with
+    /// [`estimate_join_size`](Self::estimate_join_size) first.
+    pub(crate) fn estimate_given_join_size(
+        &self,
+        a: &SketchedColumn,
+        b: &SketchedColumn,
+        join_size: f64,
+    ) -> Result<JoinStatistics, JoinError> {
         let sum_a = self
             .sketcher
             .estimate_inner_product(&a.values, &b.key_indicator)?;

@@ -10,6 +10,7 @@
 use crate::error::JoinError;
 use crate::estimate::{JoinEstimator, SketchedColumn};
 use ipsketch_core::runner::{default_threads, parallel_map};
+use ipsketch_core::SketchError;
 use ipsketch_data::Table;
 use std::borrow::Borrow;
 
@@ -59,8 +60,7 @@ pub struct CascadeStats {
     /// Candidates scored by the cheap tier (all indexed columns outside the query's
     /// own table).
     pub candidates: usize,
-    /// Candidates that survived the prefilter and were reranked by the primary
-    /// estimator.
+    /// Candidates that survived the prefilter and went on to the scoring pass.
     pub survivors: usize,
 }
 
@@ -134,9 +134,13 @@ impl SketchIndex {
     /// Whether `table.column` is already indexed.
     #[must_use]
     pub fn contains(&self, table: &str, column: &str) -> bool {
+        self.entry(table, column).is_some()
+    }
+
+    fn entry(&self, table: &str, column: &str) -> Option<&IndexEntry> {
         self.entries
             .iter()
-            .any(|entry| entry.id.table == table && entry.id.column == column)
+            .find(|entry| entry.id.table == table && entry.id.column == column)
     }
 
     /// Inserts an already-sketched column — the hydration path a persistent catalog
@@ -156,9 +160,8 @@ impl SketchIndex {
 
     /// Inserts an already-sketched column together with its (optional) cheap
     /// companion sketch — the hydration path of a companion-carrying catalog.
-    /// Entries without a companion are never pruned by the cascade prefilter: they
-    /// survive unconditionally to the primary rerank, so a partially-backfilled
-    /// catalog stays exactly as correct as the flat scan.
+    /// Entries without a companion always pass the cascade prefilter, so a
+    /// partially-backfilled catalog stays exactly as correct as the flat scan.
     ///
     /// # Errors
     ///
@@ -169,14 +172,12 @@ impl SketchIndex {
         companion: Option<SketchedColumn>,
     ) -> Result<(), JoinError> {
         if self.contains(&sketched.table, &sketched.column) {
-            return Err(JoinError::Sketch(
-                ipsketch_core::SketchError::IncompatibleSketches {
-                    detail: format!(
-                        "column `{}.{}` is already indexed",
-                        sketched.table, sketched.column
-                    ),
-                },
-            ));
+            return Err(JoinError::Sketch(SketchError::IncompatibleSketches {
+                detail: format!(
+                    "column `{}.{}` is already indexed",
+                    sketched.table, sketched.column
+                ),
+            }));
         }
         self.entries.push(IndexEntry {
             id: ColumnId {
@@ -199,28 +200,7 @@ impl SketchIndex {
     /// Returns [`JoinError`] only for structural problems (unknown columns cannot occur
     /// here since the names come from the table itself).
     pub fn insert_table(&mut self, table: &Table) -> Result<Vec<String>, JoinError> {
-        let mut skipped = Vec::new();
-        for column in table.columns() {
-            match self.estimator.sketch_column(table, &column.name) {
-                Ok(sketched) => {
-                    let companion = match &self.companion {
-                        Some(est) => Some(est.sketch_column(table, &column.name)?),
-                        None => None,
-                    };
-                    self.entries.push(IndexEntry {
-                        id: ColumnId {
-                            table: table.name().to_string(),
-                            column: column.name.clone(),
-                        },
-                        sketch: sketched,
-                        companion,
-                    });
-                }
-                Err(JoinError::EmptyColumn { .. }) => skipped.push(column.name.clone()),
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(skipped)
+        self.insert_table_with(table, |est, column| est.sketch_column(table, column))
     }
 
     /// Indexes every numeric column of a table by sketching `partitions` row-chunks
@@ -240,26 +220,30 @@ impl SketchIndex {
         table: &Table,
         partitions: usize,
     ) -> Result<Vec<String>, JoinError> {
+        self.insert_table_with(table, |est, column| {
+            est.sketch_column_partitioned(table, column, partitions)
+        })
+    }
+
+    /// Indexes every column of `table` that `sketch` can sketch, sketching its
+    /// companion through the same path; returns the skipped (all-zero) columns.
+    fn insert_table_with(
+        &mut self,
+        table: &Table,
+        sketch: impl Fn(&JoinEstimator, &str) -> Result<SketchedColumn, JoinError>,
+    ) -> Result<Vec<String>, JoinError> {
         let mut skipped = Vec::new();
         for column in table.columns() {
-            match self
-                .estimator
-                .sketch_column_partitioned(table, &column.name, partitions)
-            {
+            match sketch(&self.estimator, &column.name) {
                 Ok(sketched) => {
-                    let companion = match &self.companion {
-                        Some(est) => {
-                            Some(est.sketch_column_partitioned(table, &column.name, partitions)?)
-                        }
-                        None => None,
-                    };
+                    let companion = self.companion.as_ref().map(|est| sketch(est, &column.name));
                     self.entries.push(IndexEntry {
                         id: ColumnId {
                             table: table.name().to_string(),
                             column: column.name.clone(),
                         },
                         sketch: sketched,
-                        companion,
+                        companion: companion.transpose()?,
                     });
                 }
                 Err(JoinError::EmptyColumn { .. }) => skipped.push(column.name.clone()),
@@ -319,9 +303,7 @@ impl SketchIndex {
     ///
     /// Returns [`JoinError::NotIndexed`] if the column is not in the index.
     pub fn get(&self, table: &str, column: &str) -> Result<&SketchedColumn, JoinError> {
-        self.entries
-            .iter()
-            .find(|entry| entry.id.table == table && entry.id.column == column)
+        self.entry(table, column)
             .map(|entry| &entry.sketch)
             .ok_or_else(|| JoinError::NotIndexed {
                 table: table.to_string(),
@@ -333,9 +315,7 @@ impl SketchIndex {
     /// carries one.
     #[must_use]
     pub fn get_companion(&self, table: &str, column: &str) -> Option<&SketchedColumn> {
-        self.entries
-            .iter()
-            .find(|entry| entry.id.table == table && entry.id.column == column)
+        self.entry(table, column)
             .and_then(|entry| entry.companion.as_ref())
     }
 
@@ -350,7 +330,7 @@ impl SketchIndex {
         query: &SketchedColumn,
         k: usize,
     ) -> Result<Vec<RankedColumn>, JoinError> {
-        self.rank(query, k, |r| r.estimated_join_size)
+        Ok(self.rank(query, k, Mode::Joinable)?.0)
     }
 
     /// Sketches a query column with the companion (cheap-tier) configuration, or
@@ -364,16 +344,16 @@ impl SketchIndex {
         table: &Table,
         column: &str,
     ) -> Result<Option<SketchedColumn>, JoinError> {
-        match &self.companion {
-            Some(est) => Ok(Some(est.sketch_column(table, column)?)),
-            None => Ok(None),
-        }
+        self.companion
+            .as_ref()
+            .map(|est| est.sketch_column(table, column))
+            .transpose()
     }
 
-    /// The two-tier joinability query: the cheap companion tier scores every
-    /// candidate, an interval prefilter sized from the Table-1 bound keeps the
-    /// candidates whose cheap score could still reach the top `k`, and the primary
-    /// estimator reranks the survivors.
+    /// [`top_k_joinable`](Self::top_k_joinable) behind the cascade's candidate
+    /// filter: the cheap companion tier scores every candidate, and only those
+    /// whose bound-sized interval could still reach the top `k` go on to the one
+    /// scoring pass every ranking shares.
     ///
     /// Per candidate `c` the cheap score `s_c` is bracketed by the additive margin
     /// `b_c = confidence · ε · √(rows_q · rows_c)` (with `ε = 1/√m` from the
@@ -388,8 +368,9 @@ impl SketchIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`JoinError::Sketch`] if the index has no companion estimator, the
-    /// companion method is not prefilter-eligible, or a sketch is incompatible.
+    /// Returns [`JoinError::Sketch`] if `confidence` is negative or NaN, the index
+    /// has no companion estimator, the companion method is not prefilter-eligible,
+    /// or a sketch is incompatible.
     pub fn top_k_joinable_cascade(
         &self,
         query: &SketchedColumn,
@@ -397,111 +378,11 @@ impl SketchIndex {
         k: usize,
         confidence: f64,
     ) -> Result<(Vec<RankedColumn>, CascadeStats), JoinError> {
-        let incompatible = |detail: String| {
-            JoinError::Sketch(ipsketch_core::SketchError::IncompatibleSketches { detail })
-        };
-        let companion = self.companion.as_ref().ok_or_else(|| {
-            incompatible("this index has no companion (cheap-tier) estimator".to_string())
-        })?;
-        let epsilon = companion
-            .sketcher()
-            .spec()
-            .prefilter_epsilon()
-            .ok_or_else(|| {
-                incompatible(format!(
-                    "companion method {} is not prefilter-eligible",
-                    companion.sketcher().method().label()
-                ))
-            })?;
-
-        // Cheap tier: score every candidate outside the query's own table and bracket
-        // the true score with the bound-sized interval.  A non-finite cheap score (a
-        // corrupt companion) falls back to "never pruned" — the primary rerank then
-        // surfaces the same typed error the flat scan would.
-        let candidates: Vec<&IndexEntry> = self
-            .entries
-            .iter()
-            .filter(|entry| entry.id.table != query.table)
-            .collect();
-        let mut intervals: Vec<Option<(f64, f64)>> = Vec::with_capacity(candidates.len());
-        for entry in &candidates {
-            let interval = match &entry.companion {
-                None => None,
-                Some(comp) => {
-                    let score = companion.estimate_join_size(companion_query, comp)?;
-                    if score.is_finite() {
-                        let margin = confidence
-                            * epsilon
-                            * ((query.rows as f64) * (entry.sketch.rows as f64)).sqrt();
-                        Some((score - margin, score + margin))
-                    } else {
-                        None
-                    }
-                }
-            };
-            intervals.push(interval);
-        }
-
-        // τ = k-th largest cheap lower bound.  With fewer than k bracketed candidates
-        // no threshold exists and everyone survives (the cascade degenerates to the
-        // flat scan plus one cheap pass).
-        let mut lowers: Vec<f64> = intervals
-            .iter()
-            .filter_map(|i| i.map(|(lower, _)| lower))
-            .collect();
-        let threshold = if k > 0 && lowers.len() >= k {
-            lowers.sort_by(|a, b| b.total_cmp(a));
-            Some(lowers[k - 1])
-        } else {
-            None
-        };
-
-        // Primary rerank of the survivors — identical scoring, identical total order,
-        // identical non-finite handling to the flat scan.
-        let mut results = Vec::new();
-        let mut survivors = 0usize;
-        for (entry, interval) in candidates.iter().zip(&intervals) {
-            let survives = match (threshold, interval) {
-                (Some(tau), Some((_, upper))) => *upper >= tau,
-                _ => true,
-            };
-            if !survives {
-                continue;
-            }
-            survivors += 1;
-            let stats = self.estimator.estimate(query, &entry.sketch)?;
-            let ranked = RankedColumn {
-                id: entry.id.clone(),
-                score: stats.join_size,
-                estimated_join_size: stats.join_size,
-                estimated_correlation: stats.correlation,
-            };
-            if !ranked.score.is_finite() {
-                return Err(JoinError::NonFiniteScore {
-                    table: entry.id.table.clone(),
-                    column: entry.id.column.clone(),
-                });
-            }
-            results.push(ranked);
-        }
-        results.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.id.table.cmp(&b.id.table))
-                .then_with(|| a.id.column.cmp(&b.id.column))
-        });
-        results.truncate(k);
-        Ok((
-            results,
-            CascadeStats {
-                candidates: candidates.len(),
-                survivors,
-            },
-        ))
+        self.rank(query, k, Mode::Cascade(companion_query, confidence))
     }
 
     /// Answers a batch of cascade joinability queries (each a primary + companion
-    /// query-sketch pair, owned or borrowed) with the same parallel scheduling as
+    /// query-sketch pair, owned or borrowed) like
     /// [`top_k_joinable_batch`](Self::top_k_joinable_batch); result `i` is exactly
     /// [`top_k_joinable_cascade`](Self::top_k_joinable_cascade) for query `i`.
     ///
@@ -515,19 +396,19 @@ impl SketchIndex {
         k: usize,
         confidence: f64,
     ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
-        parallel_map(queries, self.batch_threads(queries.len()), |(q, cq)| {
-            self.top_k_joinable_cascade(q.borrow(), cq.borrow(), k, confidence)
-                .map(|(results, _)| results)
+        self.batch(queries, |(q, cq)| {
+            Ok(self
+                .top_k_joinable_cascade(q.borrow(), cq.borrow(), k, confidence)?
+                .0)
         })
-        .into_iter()
-        .collect()
     }
 
     /// Ranks all indexed columns (excluding those from the query's own table) by the
     /// absolute value of the estimated post-join correlation and returns the top `k`.
     ///
     /// Columns whose estimated join size is below `min_join_size` are excluded, since a
-    /// correlation over a (nearly) empty join is meaningless.
+    /// correlation over a (nearly) empty join is meaningless; they cost one join-size
+    /// estimate each, never the full one.
     ///
     /// # Errors
     ///
@@ -538,10 +419,7 @@ impl SketchIndex {
         k: usize,
         min_join_size: f64,
     ) -> Result<Vec<RankedColumn>, JoinError> {
-        let mut results = self.rank(query, usize::MAX, |r| r.estimated_correlation.abs())?;
-        results.retain(|r| r.estimated_join_size >= min_join_size);
-        results.truncate(k);
-        Ok(results)
+        Ok(self.rank(query, k, Mode::Related { min_join_size })?.0)
     }
 
     /// Answers a batch of joinability queries in one call — the shape a query service
@@ -564,22 +442,7 @@ impl SketchIndex {
         queries: &[SketchedColumn],
         k: usize,
     ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
-        parallel_map(queries, self.batch_threads(queries.len()), |q| {
-            self.top_k_joinable(q, k)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// How many runner threads a batch of `queries` deserves: the full default pool
-    /// once the batch carries enough estimation work to amortize thread startup,
-    /// sequential otherwise.
-    fn batch_threads(&self, queries: usize) -> usize {
-        if queries.saturating_mul(self.entries.len()) >= PARALLEL_BATCH_MIN_PAIRS {
-            default_threads()
-        } else {
-            1
-        }
+        self.batch(queries, |q| self.top_k_joinable(q, k))
     }
 
     /// Answers a batch of relatedness (correlation) queries in one call; result `i` is
@@ -598,61 +461,203 @@ impl SketchIndex {
         k: usize,
         min_join_size: f64,
     ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
-        parallel_map(queries, self.batch_threads(queries.len()), |q| {
-            self.top_k_correlated(q, k, min_join_size)
-        })
-        .into_iter()
-        .collect()
+        self.batch(queries, |q| self.top_k_correlated(q, k, min_join_size))
     }
 
-    /// Shared ranking implementation.
-    fn rank<F>(
+    /// Every `*_batch` method: `rank_one` per query, in parallel once the batch
+    /// carries enough work to amortize thread startup, results in input order.
+    fn batch<Q: Sync>(
+        &self,
+        queries: &[Q],
+        rank_one: impl Fn(&Q) -> Result<Vec<RankedColumn>, JoinError> + Sync,
+    ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
+        let threads =
+            if queries.len().saturating_mul(self.entries.len()) >= PARALLEL_BATCH_MIN_PAIRS {
+                default_threads()
+            } else {
+                1
+            };
+        parallel_map(queries, threads, rank_one)
+            .into_iter()
+            .collect()
+    }
+
+    /// The one query pipeline behind every ranking.  The candidates are the entries
+    /// outside the query's own table, less those a cascade's
+    /// [filter](Self::cascade_filter) rules out.  Each is scored by one join-size
+    /// estimate (joinability is the inner product `⟨1_A, 1_B⟩`); related mode drops
+    /// those under `min_join_size` and scores the rest by |correlation|.  The top `k`
+    /// are selected under score descending, then `(table, column)` ascending, so
+    /// exact ties rank alike on every index and through a router's merge.  Only the
+    /// returned rows pay the rest of the full estimate and a cloned id.
+    fn rank(
         &self,
         query: &SketchedColumn,
         k: usize,
-        score: F,
-    ) -> Result<Vec<RankedColumn>, JoinError>
-    where
-        F: Fn(&RankedColumn) -> f64,
-    {
-        let mut results = Vec::new();
-        for entry in &self.entries {
-            if entry.id.table == query.table {
-                continue;
-            }
-            let stats = self.estimator.estimate(query, &entry.sketch)?;
-            let mut ranked = RankedColumn {
-                id: entry.id.clone(),
-                score: 0.0,
-                estimated_join_size: stats.join_size,
-                estimated_correlation: stats.correlation,
+        mode: Mode<'_>,
+    ) -> Result<(Vec<RankedColumn>, CascadeStats), JoinError> {
+        let mut candidates: Vec<&IndexEntry> = self
+            .entries
+            .iter()
+            .filter(|entry| entry.id.table != query.table)
+            .collect();
+        let total = candidates.len();
+        if let Mode::Cascade(companion_query, confidence) = mode {
+            self.cascade_filter(query, companion_query, k, confidence, &mut candidates)?;
+        }
+        let stats = CascadeStats {
+            candidates: total,
+            survivors: candidates.len(),
+        };
+
+        let mut scored = Vec::with_capacity(candidates.len());
+        for entry in candidates {
+            let join_size = self.estimator.estimate_join_size(query, &entry.sketch)?;
+            let correlation = match mode {
+                Mode::Related { min_join_size } if join_size >= min_join_size => Some(
+                    self.estimator
+                        .estimate_given_join_size(query, &entry.sketch, join_size)?
+                        .correlation,
+                ),
+                Mode::Related { .. } => continue,
+                Mode::Joinable | Mode::Cascade(..) => None,
             };
-            ranked.score = score(&ranked);
-            // Well-formed sketches always estimate finite statistics; a NaN or infinite
-            // score means a corrupt/hand-built sketch and has no defensible rank, so
-            // fail with a typed error naming the culprit instead of panicking mid-sort.
-            if !ranked.score.is_finite() {
+            let score = correlation.map_or(join_size, f64::abs);
+            // Well-formed sketches always estimate finite statistics; a non-finite
+            // score means a corrupt or hand-built sketch and has no defensible rank.
+            if !score.is_finite() {
                 return Err(JoinError::NonFiniteScore {
                     table: entry.id.table.clone(),
                     column: entry.id.column.clone(),
                 });
             }
-            results.push(ranked);
+            scored.push(Scored {
+                entry,
+                score,
+                join_size,
+                correlation,
+            });
         }
-        // Deterministic total order: score descending, then `(table, column)`
-        // ascending.  Without the tie-break, equal scores rank in index insertion
-        // order — two indexes holding the same columns could disagree, and a
-        // router merging per-node top-k lists could never reproduce a single
-        // node's answer bit for bit.
-        results.sort_by(|a, b| {
+
+        let order = |a: &Scored, b: &Scored| {
             b.score
                 .total_cmp(&a.score)
-                .then_with(|| a.id.table.cmp(&b.id.table))
-                .then_with(|| a.id.column.cmp(&b.id.column))
-        });
-        results.truncate(k);
-        Ok(results)
+                .then_with(|| a.entry.id.table.cmp(&b.entry.id.table))
+                .then_with(|| a.entry.id.column.cmp(&b.entry.id.column))
+        };
+        if k < scored.len() {
+            if k > 0 {
+                scored.select_nth_unstable_by(k - 1, order);
+            }
+            scored.truncate(k);
+        }
+        scored.sort_by(order);
+
+        let ranked = scored
+            .into_iter()
+            .map(|s| {
+                let correlation = match s.correlation {
+                    Some(correlation) => correlation,
+                    None => {
+                        self.estimator
+                            .estimate_given_join_size(query, &s.entry.sketch, s.join_size)?
+                            .correlation
+                    }
+                };
+                Ok(RankedColumn {
+                    id: s.entry.id.clone(),
+                    score: s.score,
+                    estimated_join_size: s.join_size,
+                    estimated_correlation: correlation,
+                })
+            })
+            .collect::<Result<_, JoinError>>()?;
+        Ok((ranked, stats))
     }
+
+    /// The cascade's candidate filter: keeps the `candidates` whose cheap-tier
+    /// interval (see [`top_k_joinable_cascade`](Self::top_k_joinable_cascade)) still
+    /// reaches `τ`.  Those without a companion, or with a non-finite cheap score from
+    /// a corrupt one, always survive, so the scoring pass surfaces any typed error.
+    fn cascade_filter(
+        &self,
+        query: &SketchedColumn,
+        companion_query: &SketchedColumn,
+        k: usize,
+        confidence: f64,
+        candidates: &mut Vec<&IndexEntry>,
+    ) -> Result<(), JoinError> {
+        // A NaN would make every interval NaN and prune everyone; a negative value
+        // inverts the intervals and can prune the true top k.
+        if confidence.is_nan() || confidence < 0.0 {
+            return Err(JoinError::Sketch(SketchError::InvalidParameter {
+                name: "confidence",
+                allowed: ">= 0",
+            }));
+        }
+        let incompatible =
+            |detail: String| JoinError::Sketch(SketchError::IncompatibleSketches { detail });
+        let companion = self.companion.as_ref().ok_or_else(|| {
+            incompatible("this index has no companion (cheap-tier) estimator".to_string())
+        })?;
+        let epsilon = companion
+            .sketcher()
+            .spec()
+            .prefilter_epsilon()
+            .ok_or_else(|| {
+                incompatible(format!(
+                    "companion method {} is not prefilter-eligible",
+                    companion.sketcher().method().label()
+                ))
+            })?;
+
+        // Unbracketed candidates get (−∞, ∞): never pruned, and never the k-th
+        // largest lower bound while k bracketed ones exist (else everyone survives).
+        let mut intervals = Vec::with_capacity(candidates.len());
+        for entry in candidates.iter() {
+            let score = match &entry.companion {
+                Some(comp) => companion.estimate_join_size(companion_query, comp)?,
+                None => f64::NAN,
+            };
+            let margin =
+                confidence * epsilon * ((query.rows as f64) * (entry.sketch.rows as f64)).sqrt();
+            intervals.push(if score.is_finite() {
+                (score - margin, score + margin)
+            } else {
+                (f64::NEG_INFINITY, f64::INFINITY)
+            });
+        }
+        if k == 0 || intervals.len() < k {
+            return Ok(());
+        }
+        let mut lowers: Vec<f64> = intervals.iter().map(|&(lower, _)| lower).collect();
+        let (_, &mut tau, _) = lowers.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+        let mut uppers = intervals.into_iter().map(|(_, upper)| upper);
+        candidates.retain(|_| uppers.next().is_some_and(|upper| upper >= tau));
+        Ok(())
+    }
+}
+
+/// Which ranking one [`SketchIndex::rank`] pass produces.
+#[derive(Clone, Copy)]
+enum Mode<'a> {
+    /// Top-k by estimated join size over every candidate.
+    Joinable,
+    /// Top-k by estimated join size over the candidates the cascade filter keeps,
+    /// given the companion query sketch and the confidence.
+    Cascade(&'a SketchedColumn, f64),
+    /// Top-k by |estimated correlation| over the candidates whose estimated join
+    /// size reaches `min_join_size`.
+    Related { min_join_size: f64 },
+}
+
+/// One candidate scored by a [`SketchIndex::rank`] pass.
+struct Scored<'a> {
+    entry: &'a IndexEntry,
+    score: f64,
+    join_size: f64,
+    /// The estimated correlation, when the ranking needed it already (related mode).
+    correlation: Option<f64>,
 }
 
 #[cfg(test)]
@@ -1213,6 +1218,45 @@ mod tests {
         let (wide_ranked, wide) = index.top_k_joinable_cascade(&q, &cq, 1, 1e12)?;
         assert_eq!(wide.survivors, wide.candidates);
         assert_eq!(wide_ranked, index.top_k_joinable(&q, 1)?);
+        Ok(())
+    }
+
+    #[test]
+    fn cascade_rejects_nan_and_negative_confidence() -> Result<(), JoinError> {
+        // A NaN confidence would make every interval NaN and prune everyone (an
+        // empty answer); a negative one inverts the intervals.  Both are typed
+        // parameter errors, while 0 (no margin) and +∞ (no pruning) stay valid.
+        let (query, good, bad) = scenario();
+        let mut index = SketchIndex::new(JoinEstimator::weighted_minhash(300.0, 3)?);
+        index.set_companion_estimator(Some(cs_companion(3)));
+        index.insert_table(&good)?;
+        index.insert_table(&bad)?;
+        let q = index.sketch_query(&query, "rides")?;
+        let cq = index.sketch_companion_query(&query, "rides")?.unwrap();
+        for confidence in [f64::NAN, -1.0] {
+            let err = index
+                .top_k_joinable_cascade(&q, &cq, 2, confidence)
+                .expect_err("invalid confidence");
+            assert!(
+                matches!(
+                    err,
+                    JoinError::Sketch(SketchError::InvalidParameter {
+                        name: "confidence",
+                        ..
+                    })
+                ),
+                "{confidence}: unexpected {err:?}"
+            );
+            assert!(index
+                .top_k_joinable_cascade_batch(&[(&q, &cq)], 2, confidence)
+                .is_err());
+        }
+        let flat = index.top_k_joinable(&q, 2)?;
+        let (_, tight) = index.top_k_joinable_cascade(&q, &cq, 2, 0.0)?;
+        assert!(tight.survivors <= tight.candidates);
+        let (wide, stats) = index.top_k_joinable_cascade(&q, &cq, 2, f64::INFINITY)?;
+        assert_eq!(wide, flat);
+        assert_eq!(stats.survivors, stats.candidates);
         Ok(())
     }
 

@@ -118,10 +118,10 @@ CSV files carry a header `key,<col>,…`: a u64 join key, then f64 value columns
 protocol, folding per-shard partial sketches exactly as a distributed deployment
 would.  `query` ranks every cataloged column against the query column by estimated
 join size (default) or |post-join correlation| (--relatedness); `--cascade` answers
-joinability through the tiered cascade (cheap-sketch prefilter, then the primary
-rerank — same ranking, fewer full estimates) when the catalog stores companion
-sketches, falling back to the flat scan with a printed note when it does not.
-`serve` puts the
+joinability through the tiered cascade (a cheap-sketch prefilter in front of the
+primary scan — same ranking, fewer primary estimates) when the catalog stores
+companion sketches, falling back to the flat scan with a printed note when it does
+not.  `serve` puts the
 catalog behind the concurrent network front end — line-delimited JSON over TCP
 (--addr) and/or the HTTP/1.1 binding (--http, curl-able) — and runs until killed;
 protocol spec in docs/PROTOCOL.md.  `route` fronts several `serve` nodes as one

@@ -490,9 +490,9 @@ pub enum RequestBody {
         k: u64,
         /// Minimum estimated join size (`related` mode only).
         min_join_size: f64,
-        /// Answer through the tiered cascade (cheap-sketch prefilter, WMH
-        /// rerank) when the catalog stores companion sketches (`joinable` mode
-        /// only).  Catalogs without companions answer by the flat scan and
+        /// Answer through the tiered cascade (a cheap-sketch prefilter in front
+        /// of the primary scan) when the catalog stores companion sketches
+        /// (`joinable` mode only).  Catalogs without companions answer by the flat scan and
         /// attach an advisory `note`.
         cascade: bool,
         /// The query column.

@@ -416,7 +416,7 @@ impl QueryService {
                 Err(other) => return Err(other.into()),
             }
         }
-        self.register_all_hydrated_with(sketched_columns, companions)?;
+        self.register_all_hydrated(sketched_columns, companions)?;
         Ok(report)
     }
 
@@ -444,8 +444,8 @@ impl QueryService {
     /// (cheap-tier) sketch per column, built by the caller with a clone of
     /// [`companion_estimator`](Self::companion_estimator) — the same
     /// outside-the-lock division of labor as the primaries.  A `None` slot
-    /// registers the column companion-less; the cascade then reranks it
-    /// unconditionally instead of prefiltering it.
+    /// registers the column companion-less; the cascade filter then always keeps
+    /// it.
     ///
     /// # Errors
     ///
@@ -464,7 +464,7 @@ impl QueryService {
                 .collect(),
             skipped: Vec::new(),
         };
-        self.register_all_hydrated_with(sketched, companions)?;
+        self.register_all_hydrated(sketched, companions)?;
         Ok(report)
     }
 
@@ -501,23 +501,16 @@ impl QueryService {
                 ),
             });
         }
-        match self.register_all_hydrated(vec![sketched]) {
+        match self.register_all_hydrated(vec![sketched], vec![None]) {
             Ok(()) => Ok(true),
             Err(CatalogError::DuplicateColumn { .. }) => Ok(false),
             Err(other) => Err(other),
         }
     }
 
-    /// Registers a batch of finished columns into the catalog (one manifest commit)
-    /// and the in-memory index.
-    fn register_all_hydrated(&mut self, sketched: Vec<SketchedColumn>) -> Result<(), CatalogError> {
-        let companions = vec![None; sketched.len()];
-        self.register_all_hydrated_with(sketched, companions)
-    }
-
-    /// [`register_all_hydrated`](Self::register_all_hydrated) carrying one optional
-    /// companion sketch per column into both the catalog and the index.
-    fn register_all_hydrated_with(
+    /// Registers a batch of finished columns, each with an optional companion
+    /// sketch, into the catalog (one manifest commit) and the in-memory index.
+    fn register_all_hydrated(
         &mut self,
         sketched: Vec<SketchedColumn>,
         companions: Vec<Option<SketchedColumn>>,
@@ -579,7 +572,7 @@ impl QueryService {
             }
         }
         // One catalog commit for the whole table, moving (not cloning) the folds.
-        self.register_all_hydrated_with(folded_columns, folded_companions)?;
+        self.register_all_hydrated(folded_columns, folded_companions)?;
         Ok(report)
     }
 
@@ -613,6 +606,8 @@ impl QueryService {
     /// result `i` ranks query `i`, in parallel on the work-claiming runner.  This
     /// is the one ranking switch of the crate: every `query_*` method and the
     /// network front end answer through it, so their answers are bit-identical.
+    /// Every [`Scan`] ends in the index's one scoring pass; a cascade only filters
+    /// the candidates in front of it.
     ///
     /// It ranks what the index holds and never hydrates: callers with exclusive
     /// access run [`ensure_hydrated`](Self::ensure_hydrated) first (the `query_*`
@@ -669,10 +664,8 @@ impl QueryService {
         scan: Scan<'_>,
     ) -> Result<(Vec<RankedColumn>, Option<CascadeNote>), CatalogError> {
         self.ensure_hydrated()?;
-        let (rankings, note) = self.rank(std::slice::from_ref(query), k, scan)?;
-        let [ranking] =
-            <[Vec<RankedColumn>; 1]>::try_from(rankings).expect("one query yields one ranking");
-        Ok((ranking, note))
+        let (mut rankings, note) = self.rank(std::slice::from_ref(query), k, scan)?;
+        Ok((rankings.pop().expect("one query yields one ranking"), note))
     }
 
     /// Ranks all served columns by estimated join size with the query and returns the
@@ -689,12 +682,12 @@ impl QueryService {
         Ok(self.rank_one(query, k, Scan::Joinable)?.0)
     }
 
-    /// [`query_joinable`](Self::query_joinable) through the two-tier cascade: the
-    /// cheap companion sketches score every candidate, the Table 1 error bounds
-    /// (scaled by `confidence`, see
+    /// [`query_joinable`](Self::query_joinable) behind the cascade's candidate
+    /// filter: the cheap companion sketches score every candidate, the Table 1
+    /// error bounds (scaled by `confidence`, see
     /// [`DEFAULT_CASCADE_CONFIDENCE`](ipsketch_join::DEFAULT_CASCADE_CONFIDENCE))
-    /// prune candidates that provably cannot reach the top `k`, and the primary
-    /// sketches rerank the survivors under the same deterministic
+    /// drop candidates that provably cannot reach the top `k`, and the survivors
+    /// go through the flat scan's own scoring pass under the same deterministic
     /// `(score, table, column)` total order — so at the default margin the answer
     /// is byte-identical to the flat scan's.
     ///
@@ -706,8 +699,9 @@ impl QueryService {
     ///
     /// # Errors
     ///
-    /// Returns [`CatalogError`] for hydration failures or incompatible query
-    /// sketches.
+    /// Returns [`CatalogError`] for hydration failures, incompatible query
+    /// sketches, or a negative or NaN `confidence` on a catalog with a companion
+    /// tier.
     pub fn query_joinable_cascade(
         &mut self,
         query: &SketchedColumn,
@@ -742,12 +736,8 @@ impl QueryService {
         confidence: f64,
     ) -> Result<(Vec<Vec<RankedColumn>>, Option<CascadeNote>), CatalogError> {
         self.ensure_hydrated()?;
-        let primaries: Vec<SketchedColumn> =
-            queries.iter().map(|(query, _)| query.clone()).collect();
-        let companions: Option<Vec<SketchedColumn>> = queries
-            .iter()
-            .map(|(_, companion)| companion.clone())
-            .collect();
+        let (primaries, companions): (Vec<_>, Vec<_>) = queries.iter().cloned().unzip();
+        let companions: Option<Vec<SketchedColumn>> = companions.into_iter().collect();
         self.rank(
             &primaries,
             k,
@@ -760,7 +750,7 @@ impl QueryService {
 
     /// Ranks all served columns by |estimated post-join correlation| and returns the
     /// top `k`, excluding candidates whose estimated join size is below
-    /// `min_join_size`.
+    /// `min_join_size` (they cost one join-size estimate each).
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Property-based tests of the tiered query cascade: whatever catalog the
 //! generator builds, the cascade's top-k must be the flat scan's top-k — the
-//! same columns, in the same order, with bit-identical scores (the rerank runs
-//! the *same* primary estimator over the survivors, and the margin keeps every
+//! same columns, in the same order, with bit-identical scores (the survivors
+//! go through the flat scan's own scoring pass, and the margin keeps every
 //! true top-k candidate alive at the configured confidence).  Planted exact
 //! ties must come back in `(score, table, column)` order, cascade or not.
 

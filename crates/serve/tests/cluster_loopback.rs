@@ -907,3 +907,101 @@ fn dropping_a_router_handle_releases_its_port() {
     assert_eq!(error.kind(), std::io::ErrorKind::ConnectionRefused);
     cleanup(nodes);
 }
+
+#[test]
+fn extreme_k_is_answered_byte_identically_by_node_and_router() {
+    // `"k": 0` and `"k": 18446744073709551615` (which a node maps to
+    // `usize::MAX`) in flat, cascade and related mode, single and batched: the
+    // top-k selection must neither panic nor size anything by `k`, and the
+    // router's merge must reproduce the single node's bytes.
+    let (query, good, bad) = lake();
+    let seed = 47;
+    let single = boot_nodes("extreme-k-single", seed, 1);
+    let nodes = boot_nodes("extreme-k", seed, 3);
+    let router = boot_router(tcp_specs(&nodes), 2);
+    let mut node_client = Client::connect(single[0].handle.tcp_addr().expect("tcp"));
+    let mut router_client = Client::connect(router.addr());
+    for table in [&good, &bad] {
+        node_client.ingest(table);
+        router_client.ingest(table);
+    }
+    // good.precip, good.noise and bad.other rank against `query.rides`; only
+    // the two `good` columns rank against `bad.other`.
+    let full_lengths = [3, 2];
+    let queries = || vec![wire_query(&query, "rides"), wire_query(&bad, "other")];
+
+    for k in [0, u64::MAX] {
+        for (mode, cascade) in [
+            (Mode::Joinable, false),
+            (Mode::Joinable, true),
+            (Mode::Related, false),
+        ] {
+            let requests = [
+                Request {
+                    id: Json::u64(1),
+                    body: RequestBody::Query {
+                        mode,
+                        k,
+                        min_join_size: 0.0,
+                        cascade,
+                        query: queries().remove(0),
+                    },
+                },
+                Request {
+                    id: Json::u64(2),
+                    body: RequestBody::BatchQuery {
+                        mode,
+                        k,
+                        min_join_size: 0.0,
+                        cascade,
+                        queries: queries(),
+                    },
+                },
+            ];
+            for request in requests {
+                let line = request.encode();
+                assert!(
+                    line.contains(&k.to_string()),
+                    "k must reach the wire verbatim"
+                );
+                node_client.send_raw(&line);
+                let via_node = node_client.recv_raw();
+                router_client.send_raw(&line);
+                let via_router = router_client.recv_raw();
+                assert_eq!(
+                    via_router, via_node,
+                    "k = {k}, {mode:?}, cascade {cascade}: router and node disagree"
+                );
+                let expected_len = |full: usize| if k == 0 { 0 } else { full };
+                let result = Response::decode(&via_node).expect("well-formed").result;
+                match result.expect("extreme k is answered, not refused") {
+                    ResponseBody::Ranking { ranking, note } => {
+                        assert!(note.is_none());
+                        assert_eq!(ranking.len(), expected_len(full_lengths[0]));
+                    }
+                    ResponseBody::Rankings { rankings, note } => {
+                        assert!(note.is_none());
+                        let lengths: Vec<usize> = rankings.iter().map(Vec::len).collect();
+                        assert_eq!(lengths, full_lengths.map(expected_len));
+                    }
+                    other => panic!("expected a ranking, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    // No worker panicked: node and router both still answer, identically.
+    let probe = query_request(3, &query, "rides", 5).encode();
+    node_client.send_raw(&probe);
+    let via_node = node_client.recv_raw();
+    router_client.send_raw(&probe);
+    assert_eq!(router_client.recv_raw(), via_node);
+    assert!(Response::decode(&via_node)
+        .expect("well-formed")
+        .result
+        .is_ok());
+
+    router.shutdown();
+    cleanup(nodes);
+    cleanup(single);
+}

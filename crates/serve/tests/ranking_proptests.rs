@@ -4,12 +4,17 @@
 //! * the top-k answer (including exact ties) is invariant under the order
 //!   columns were inserted into the index, and
 //! * the shard-partial ingest path yields the same top-k for *any* shard
-//!   count, so a cluster can repartition rows without changing answers.
+//!   count, so a cluster can repartition rows without changing answers, and
+//! * every public ranking entry (flat, cascade, related, single or batched, on
+//!   the index or through `QueryService::rank`) returns exactly what a full
+//!   estimate of every candidate, a full sort, the filter and the cut give.
 
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_data::{Column, Table};
-use ipsketch_join::{JoinEstimator, RankedColumn, SketchIndex};
-use ipsketch_serve::{shard_rows, QueryService};
+use ipsketch_join::{
+    JoinEstimator, RankedColumn, SketchIndex, SketchedColumn, DEFAULT_CASCADE_CONFIDENCE,
+};
+use ipsketch_serve::{shard_rows, QueryService, Scan};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,5 +206,226 @@ proptest! {
         let (join_two, corr_two) = rank_with(shards_two, "two");
         assert_rank_equivalent(&join_one, &join_two)?;
         assert_rank_equivalent(&corr_one, &corr_two)?;
+    }
+}
+
+/// A lake table for the reference-oracle property: two columns over one key
+/// range, so the two columns' join sizes tie exactly and the `column` half of
+/// the tie-break is exercised too.  Tables sharing `(offset, pattern)` carry
+/// identical data under different names: exact ties across tables.
+fn oracle_table(name: &str, offset: u64, pattern: u64) -> Table {
+    let keys: Vec<u64> = (offset * 40..offset * 40 + 100).collect();
+    let a: Vec<f64> = (0..100u32)
+        .map(|i| match pattern {
+            0 => f64::from(i) + 1.0,
+            1 => f64::from((i * 37) % 11) + 1.0,
+            _ => f64::from(i % 7) + 1.0,
+        })
+        .collect();
+    let b = a.iter().map(|v| 200.0 - 3.0 * v).collect();
+    Table::new(name, keys, vec![Column::new("a", a), Column::new("b", b)]).expect("table")
+}
+
+fn oracle_method(tag: u64) -> SketchMethod {
+    match tag {
+        0 => SketchMethod::WeightedMinHash,
+        1 => SketchMethod::Kmv,
+        2 => SketchMethod::MinHash,
+        3 => SketchMethod::Jl,
+        4 => SketchMethod::CountSketch,
+        _ => SketchMethod::Icws,
+    }
+}
+
+/// The ranking the pipeline must reproduce, computed the slow, obvious way:
+/// the full estimate of every candidate outside the query's table, a full
+/// sort under `(score desc, table, column)`, the related-mode join-size
+/// filter, then the cut.
+fn reference(
+    index: &SketchIndex,
+    query: &SketchedColumn,
+    k: usize,
+    min_join_size: Option<f64>,
+) -> Vec<RankedColumn> {
+    let mut all: Vec<RankedColumn> = index
+        .columns()
+        .filter(|id| id.table != query.table)
+        .map(|id| {
+            let candidate = index.get(&id.table, &id.column).expect("indexed");
+            let stats = index
+                .estimator()
+                .estimate(query, candidate)
+                .expect("estimate");
+            RankedColumn {
+                id: id.clone(),
+                score: if min_join_size.is_some() {
+                    stats.correlation.abs()
+                } else {
+                    stats.join_size
+                },
+                estimated_join_size: stats.join_size,
+                estimated_correlation: stats.correlation,
+            }
+        })
+        .collect();
+    all.sort_by(|a, b| {
+        b.score
+            .total_cmp(&a.score)
+            .then_with(|| a.id.table.cmp(&b.id.table))
+            .then_with(|| a.id.column.cmp(&b.id.column))
+    });
+    if let Some(min) = min_join_size {
+        all.retain(|r| r.estimated_join_size >= min);
+    }
+    all.truncate(k);
+    all
+}
+
+/// A ranking as exact bits, so `-0.0` vs `0.0` or a NaN cannot hide behind
+/// `f64` equality.
+fn bits(ranking: &[RankedColumn]) -> Vec<(String, String, u64, u64, u64)> {
+    ranking
+        .iter()
+        .map(|r| {
+            (
+                r.id.table.clone(),
+                r.id.column.clone(),
+                r.score.to_bits(),
+                r.estimated_join_size.to_bits(),
+                r.estimated_correlation.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// Asserts a batch of rankings equals the reference batch bit for bit.
+fn expect_bits(
+    k: usize,
+    want: &[Vec<RankedColumn>],
+    got: &[Vec<RankedColumn>],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(want.len(), got.len(), "{}: batch length", what);
+    for (w, g) in want.iter().zip(got) {
+        prop_assert_eq!(bits(w), bits(g), "{} diverged at k = {}", what, k);
+    }
+    Ok(())
+}
+
+proptest! {
+    // Each case builds an on-disk catalog; keep the count modest.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every public ranking entry — the three `top_k_*` methods, their batch
+    /// forms, and `QueryService::rank` under each `Scan` — returns exactly the
+    /// reference ranking, bit for bit, for every `k` from 0 to `usize::MAX`.
+    #[test]
+    fn every_ranking_entry_matches_the_full_estimate_reference(
+        params in proptest::collection::vec((0u64..5, 0u64..3), 8..16),
+        method_tag in 0u64..6,
+        seed in 1u64..1000,
+    ) {
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let root = std::env::temp_dir().join(format!(
+            "ipsketch-oracleprop-{case}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let spec = AnySketcher::for_budget(oracle_method(method_tag), 256.0, seed)
+            .expect("budget")
+            .spec();
+        let mut service = QueryService::create(&root, spec).expect("create");
+        // The query's own table is indexed too, so its exclusion is exercised.
+        let query = oracle_table("q", 1, 0);
+        service.ingest_table(&query).expect("ingest query table");
+        for (i, &(offset, pattern)) in params.iter().enumerate() {
+            service
+                .ingest_table(&oracle_table(&format!("cand_{i}"), offset, pattern))
+                .expect("ingest");
+        }
+        // Two queries: one from outside the candidates, one from a candidate
+        // table (whose own columns are then excluded).
+        let mut primaries = Vec::new();
+        let mut companions = Vec::new();
+        let own = oracle_table("cand_0", params[0].0, params[0].1);
+        for (table, column) in [(&query, "a"), (&own, "b")] {
+            primaries.push(service.sketch_query(table, column).expect("sketch"));
+            companions.push(
+                service
+                    .sketch_query_companion(table, column)
+                    .expect("companion sketch")
+                    .expect("created catalogs carry a companion tier"),
+            );
+        }
+        let index = service.index();
+        let candidates = index.len() - 2;
+
+        // A join-size floor at the upper median of the first query's join sizes:
+        // whenever they differ, it excludes some candidates from related mode.
+        let mut sizes: Vec<f64> = reference(index, &primaries[0], usize::MAX, None)
+            .iter()
+            .map(|r| r.estimated_join_size)
+            .collect();
+        sizes.sort_by(f64::total_cmp);
+        let min_join_size = sizes[sizes.len() / 2];
+
+        let pairs: Vec<_> = primaries.iter().zip(&companions).collect();
+        for k in [0, 1, 3, candidates / 2, candidates + 1, usize::MAX] {
+            let joinable: Vec<_> = primaries
+                .iter()
+                .map(|q| reference(index, q, k, None))
+                .collect();
+            let related: Vec<_> = primaries
+                .iter()
+                .map(|q| reference(index, q, k, Some(min_join_size)))
+                .collect();
+            let single: Vec<_> = primaries
+                .iter()
+                .map(|q| index.top_k_joinable(q, k).expect("joinable"))
+                .collect();
+            expect_bits(k, &joinable, &single, "top_k_joinable")?;
+            let batch = index.top_k_joinable_batch(&primaries, k).expect("batch");
+            expect_bits(k, &joinable, &batch, "top_k_joinable_batch")?;
+            let cascaded: Vec<_> = pairs
+                .iter()
+                .map(|(q, cq)| {
+                    index
+                        .top_k_joinable_cascade(q, cq, k, DEFAULT_CASCADE_CONFIDENCE)
+                        .expect("cascade")
+                        .0
+                })
+                .collect();
+            expect_bits(k, &joinable, &cascaded, "top_k_joinable_cascade")?;
+            let batch = index
+                .top_k_joinable_cascade_batch(&pairs, k, DEFAULT_CASCADE_CONFIDENCE)
+                .expect("cascade batch");
+            expect_bits(k, &joinable, &batch, "top_k_joinable_cascade_batch")?;
+            let correlated: Vec<_> = primaries
+                .iter()
+                .map(|q| index.top_k_correlated(q, k, min_join_size).expect("related"))
+                .collect();
+            expect_bits(k, &related, &correlated, "top_k_correlated")?;
+            let batch = index
+                .top_k_correlated_batch(&primaries, k, min_join_size)
+                .expect("related batch");
+            expect_bits(k, &related, &batch, "top_k_correlated_batch")?;
+
+            for (scan, want) in [
+                (Scan::Joinable, &joinable),
+                (
+                    Scan::Cascade {
+                        companions: Some(&companions),
+                        confidence: DEFAULT_CASCADE_CONFIDENCE,
+                    },
+                    &joinable,
+                ),
+                (Scan::Related { min_join_size }, &related),
+            ] {
+                let (got, note) = service.rank(&primaries, k, scan).expect("rank");
+                prop_assert!(note.is_none(), "companion catalogs never fall back");
+                expect_bits(k, want, &got, "QueryService::rank")?;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
