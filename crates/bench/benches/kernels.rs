@@ -1,5 +1,6 @@
-//! The kernel baseline suite: scalar-reference vs. vectorized throughput for the
-//! sketching hot loops, plus dispatched per-method baselines for sketch-build, merge,
+//! The kernel baseline suite: scalar-reference (`sketch_scalar`, `dot_scalar`) vs.
+//! vectorized (`Sketcher::sketch`, `dot_unrolled`, the kernels that run) throughput for
+//! the sketching hot loops, plus dispatched per-method baselines for sketch-build, merge,
 //! estimate, and batch-query — the trajectory future PRs regress against.
 //!
 //! Beyond the criterion console lines, the suite exports every measurement to
@@ -223,7 +224,7 @@ fn main() {
         std::hint::black_box(jl.sketch_scalar(&va).expect("sketchable"));
     });
     let v = suite.bench("sketch_build", "JL", "vectorized", || {
-        std::hint::black_box(jl.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(jl.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/JL".to_string(), s / v));
 
@@ -233,7 +234,7 @@ fn main() {
         std::hint::black_box(cs.sketch_scalar(&va).expect("sketchable"));
     });
     let v = suite.bench("sketch_build", "CS", "vectorized", || {
-        std::hint::black_box(cs.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(cs.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/CS".to_string(), s / v));
 
@@ -247,7 +248,7 @@ fn main() {
         std::hint::black_box(wmh.sketch_scalar(&va).expect("sketchable"));
     });
     let v = suite.bench("sketch_build", "WMH", "vectorized", || {
-        std::hint::black_box(wmh.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(wmh.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/WMH".to_string(), s / v));
 
@@ -266,7 +267,7 @@ fn main() {
         std::hint::black_box(wmh_v2.sketch_scalar(&va).expect("sketchable"));
     });
     let v2 = suite.bench("sketch_build", "WMH_v2", "vectorized", || {
-        std::hint::black_box(wmh_v2.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(wmh_v2.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/WMH_v2".to_string(), s2 / v2));
     // The format-v2 ratio is measured on its own interleaved reps rather than from the
@@ -282,12 +283,12 @@ fn main() {
         for _ in 0..reps {
             let start = std::time::Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(wmh.sketch_vectorized(&va).expect("sketchable"));
+                std::hint::black_box(wmh.sketch(&va).expect("sketchable"));
             }
             best_v1 = best_v1.min(start.elapsed().as_secs_f64());
             let start = std::time::Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(wmh_v2.sketch_vectorized(&va).expect("sketchable"));
+                std::hint::black_box(wmh_v2.sketch(&va).expect("sketchable"));
             }
             best_v2 = best_v2.min(start.elapsed().as_secs_f64());
         }
@@ -300,7 +301,7 @@ fn main() {
         std::hint::black_box(icws.sketch_scalar(&va).expect("sketchable"));
     });
     let v = suite.bench("sketch_build", "ICWS", "vectorized", || {
-        std::hint::black_box(icws.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(icws.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/ICWS".to_string(), s / v));
 
@@ -370,7 +371,7 @@ fn main() {
     });
     let v = suite.bench("table_build", "JL", "par_vectorized", || {
         std::hint::black_box(parallel_map(&table, threads, |v| {
-            jl.sketch_vectorized(v).expect("sketchable")
+            jl.sketch(v).expect("sketchable")
         }));
     });
     end_to_end.push(("table_build/JL".to_string(), s / v));
@@ -382,7 +383,7 @@ fn main() {
     });
     let v = suite.bench("table_build", "WMH", "par_vectorized", || {
         std::hint::black_box(parallel_map(&table, threads, |v| {
-            wmh.sketch_vectorized(v).expect("sketchable")
+            wmh.sketch(v).expect("sketchable")
         }));
     });
     end_to_end.push(("table_build/WMH".to_string(), s / v));

@@ -8,7 +8,7 @@
 //! repetitions is configurable).
 
 use crate::error::{incompatible, SketchError};
-use crate::kernel::{self, KernelMode};
+use crate::kernel::dot_unrolled;
 use crate::storage::{linear_sketch_doubles, COUNTSKETCH_REPETITIONS};
 use crate::traits::{MergeableSketcher, Sketch, Sketcher};
 use ipsketch_hash::sign::{BucketHasher, SignHasher};
@@ -135,56 +135,23 @@ impl CountSketcher {
 
 impl CountSketcher {
     /// Sketches with the scalar reference kernel: one full bucket mix and one full sign
-    /// mix per `(entry, repetition)` pair.  Prefer [`Sketcher::sketch`], which
-    /// dispatches; this twin is kept as the parity baseline.
+    /// mix per `(entry, repetition)` pair.  This is the parity baseline
+    /// [`Sketcher::sketch`]'s vectorized kernel is property-tested against; it never
+    /// runs outside tests and benches.
     ///
     /// # Errors
     ///
     /// Infallible today; returns `Result` for signature parity with `sketch`.
     pub fn sketch_scalar(&self, vector: &SparseVector) -> Result<CountSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Scalar)
-    }
-
-    /// Sketches with the vectorized kernel: per-repetition halves of both hash mixes
-    /// are hoisted out of the entry loop, each entry pays a single key mix shared by
-    /// the bucket and sign families, and repetitions are processed in 4-wide unrolled
-    /// chunks.  Bit-for-bit identical to [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for signature parity with `sketch`.
-    pub fn sketch_vectorized(&self, vector: &SparseVector) -> Result<CountSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Vectorized)
-    }
-
-    fn sketch_with(
-        &self,
-        vector: &SparseVector,
-        mode: KernelMode,
-    ) -> Result<CountSketch, SketchError> {
-        let mut table = vec![0.0; self.buckets * self.repetitions];
-        match mode {
-            KernelMode::Scalar => {
-                for (index, value) in vector.iter() {
-                    for rep in 0..self.repetitions {
-                        let bucket = self.bucket_hash.bucket(rep as u64, index);
-                        let sign = self.sign_hash.sign(rep as u64, index);
-                        table[rep * self.buckets + bucket] += sign * value;
-                    }
-                }
-            }
-            KernelMode::Vectorized => {
-                let (bucket_states, sign_states) = self.rep_states();
-                for (index, value) in vector.iter() {
-                    self.scatter_entry(&mut table, &bucket_states, &sign_states, index, value);
-                }
+        let mut sketch = self.empty_sketch();
+        for (index, value) in vector.iter() {
+            for rep in 0..self.repetitions {
+                let bucket = self.bucket_hash.bucket(rep as u64, index);
+                let sign = self.sign_hash.sign(rep as u64, index);
+                sketch.table[rep * self.buckets + bucket] += sign * value;
             }
         }
-        Ok(CountSketch {
-            seed: self.seed,
-            buckets: self.buckets,
-            table,
-        })
+        Ok(sketch)
     }
 
     /// The hoisted per-repetition halves of the bucket and sign mixes.
@@ -247,8 +214,18 @@ impl CountSketcher {
 impl Sketcher for CountSketcher {
     type Output = CountSketch;
 
+    /// The vectorized kernel: per-repetition halves of both hash mixes are hoisted out
+    /// of the entry loop, each entry pays a single key mix shared by the bucket and
+    /// sign families, and repetitions are processed in 4-wide unrolled chunks.
+    /// Bit-for-bit identical to [`CountSketcher::sketch_scalar`].
     fn sketch(&self, vector: &SparseVector) -> Result<CountSketch, SketchError> {
-        self.sketch_with(vector, kernel::mode())
+        let (bucket_states, sign_states) = self.rep_states();
+        let mut sketch = self.empty_sketch();
+        let table = &mut sketch.table;
+        for (index, value) in vector.iter() {
+            self.scatter_entry(table, &bucket_states, &sign_states, index, value);
+        }
+        Ok(sketch)
     }
 
     fn estimate_inner_product(&self, a: &CountSketch, b: &CountSketch) -> Result<f64, SketchError> {
@@ -256,7 +233,7 @@ impl Sketcher for CountSketcher {
         self.check_own("second", b)?;
         // Per-repetition estimates, combined by the median.
         let mut estimates: Vec<f64> = (0..self.repetitions)
-            .map(|rep| kernel::dot(a.repetition(rep), b.repetition(rep)))
+            .map(|rep| dot_unrolled(a.repetition(rep), b.repetition(rep)))
             .collect();
         estimates.sort_by(|x, y| x.partial_cmp(y).expect("estimates are finite"));
         let n = estimates.len();
@@ -364,7 +341,7 @@ mod tests {
             let s = CountSketcher::with_repetitions(17, reps, 0xBEE).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.table.iter().zip(&vectorized.table) {
                     assert_eq!(x.to_bits(), y.to_bits(), "reps = {reps}");
                 }

@@ -16,7 +16,6 @@
 //! discretization parameter is needed: ICWS handles real-valued weights exactly.
 
 use crate::error::{incompatible, SketchError};
-use crate::kernel::{self, KernelMode};
 use crate::traits::{MergeableSketcher, Sketch, Sketcher};
 use ipsketch_hash::mix::{mix2, mix2_key, splitmix64};
 use ipsketch_hash::rng::Xoshiro256PlusPlus;
@@ -237,33 +236,22 @@ impl IcwsSketcher {
 
 impl IcwsSketcher {
     /// Sketches with the scalar reference kernel: sample-outer, entry-inner, one full
-    /// score evaluation (including the entry's `ln(value²)`) per pair.  Prefer
-    /// [`Sketcher::sketch`], which dispatches.
+    /// score evaluation (including the entry's `ln(value²)`) per pair.  This is the
+    /// parity baseline [`Sketcher::sketch`]'s vectorized kernel is property-tested
+    /// against; it never runs outside tests and benches.
     ///
     /// # Errors
     ///
     /// As for [`Sketcher::sketch`].
     pub fn sketch_scalar(&self, vector: &SparseVector) -> Result<IcwsSketch, SketchError> {
-        self.sketch_kernel(vector, KernelMode::Scalar)
+        self.sketch_with(vector, Self::select_samples_scalar)
     }
 
-    /// Sketches with the vectorized kernel: entry-outer, samples swept in 4-wide
-    /// unrolled chunks with the per-sample seed states, the per-entry key state, and
-    /// the per-entry `ln(value²)` all hoisted.  For each sample the argmin comparisons
-    /// happen in the same entry order on strict `<`, so the result is bit-for-bit
-    /// identical to [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sketcher::sketch`].
-    pub fn sketch_vectorized(&self, vector: &SparseVector) -> Result<IcwsSketch, SketchError> {
-        self.sketch_kernel(vector, KernelMode::Vectorized)
-    }
-
-    fn sketch_kernel(
+    /// Normalizes `vector` and draws its `m` samples with `select`.
+    fn sketch_with(
         &self,
         vector: &SparseVector,
-        mode: KernelMode,
+        select: fn(&Self, &SparseVector) -> Vec<IcwsSample>,
     ) -> Result<IcwsSketch, SketchError> {
         let norm = vector.norm();
         if norm == 0.0 {
@@ -271,11 +259,7 @@ impl IcwsSketcher {
                 ipsketch_vector::VectorError::ZeroVector,
             ));
         }
-        let normalized = vector.scaled(1.0 / norm);
-        let samples = match mode {
-            KernelMode::Scalar => self.select_samples_scalar(&normalized),
-            KernelMode::Vectorized => self.select_samples_vectorized(&normalized),
-        };
+        let samples = select(self, &vector.scaled(1.0 / norm));
         Ok(IcwsSketch {
             seed: self.seed,
             samples,
@@ -308,6 +292,11 @@ impl IcwsSketcher {
         samples
     }
 
+    /// The vectorized kernel: entry-outer, samples swept in 4-wide unrolled chunks with
+    /// the per-sample seed states, the per-entry key state, and the per-entry
+    /// `ln(value²)` all hoisted.  For each sample the argmin comparisons happen in the
+    /// same entry order on strict `<`, so the result is bit-for-bit identical to
+    /// [`select_samples_scalar`](Self::select_samples_scalar).
     fn select_samples_vectorized(&self, normalized: &SparseVector) -> Vec<IcwsSample> {
         let m = self.samples;
         let sample_states: Vec<u64> = (0..m as u64).map(|s| self.sample_state(s)).collect();
@@ -366,7 +355,7 @@ impl Sketcher for IcwsSketcher {
     type Output = IcwsSketch;
 
     fn sketch(&self, vector: &SparseVector) -> Result<IcwsSketch, SketchError> {
-        self.sketch_kernel(vector, kernel::mode())
+        self.sketch_with(vector, Self::select_samples_vectorized)
     }
 
     /// Estimates `⟨a, b⟩` using the Algorithm-5 estimator structure on top of ICWS
@@ -534,7 +523,7 @@ mod tests {
             let s = IcwsSketcher::new(m, 0xD1CE).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 assert_eq!(scalar.samples(), vectorized.samples(), "m = {m}");
                 assert_eq!(scalar.norm().to_bits(), vectorized.norm().to_bits());
             }

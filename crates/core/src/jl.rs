@@ -7,7 +7,7 @@
 //! the sketcher itself is a few bytes.
 
 use crate::error::{incompatible, SketchError};
-use crate::kernel::{self, KernelMode};
+use crate::kernel::dot_unrolled;
 use crate::storage::linear_sketch_doubles;
 use crate::traits::{MergeableSketcher, Sketch, Sketcher};
 use ipsketch_hash::sign::SignHasher;
@@ -87,56 +87,33 @@ impl JlSketcher {
     }
 
     /// Sketches with the scalar reference kernel: one full sign-hash evaluation per
-    /// `(entry, row)` pair.  This is the readable spec the vectorized kernel is
-    /// property-tested against; prefer [`Sketcher::sketch`], which dispatches.
+    /// `(entry, row)` pair.  This is the readable spec [`Sketcher::sketch`]'s
+    /// vectorized kernel is property-tested against; it never runs outside tests and
+    /// benches.
     ///
     /// # Errors
     ///
     /// Infallible today; returns `Result` for signature parity with `sketch`.
     pub fn sketch_scalar(&self, vector: &SparseVector) -> Result<JlSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Scalar)
-    }
-
-    /// Sketches with the vectorized kernel: per-row sign-hash states are hoisted out of
-    /// the entry loop, each entry pays one key mix, and rows accumulate in 4-wide
-    /// unrolled chunks.  Bit-for-bit identical to [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for signature parity with `sketch`.
-    pub fn sketch_vectorized(&self, vector: &SparseVector) -> Result<JlSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Vectorized)
-    }
-
-    fn sketch_with(
-        &self,
-        vector: &SparseVector,
-        mode: KernelMode,
-    ) -> Result<JlSketch, SketchError> {
-        let scale = 1.0 / (self.rows as f64).sqrt();
         let mut rows = vec![0.0; self.rows];
-        match mode {
-            KernelMode::Scalar => {
-                for (index, value) in vector.iter() {
-                    for (r, row) in rows.iter_mut().enumerate() {
-                        *row += self.signs.sign(r as u64, index) * value;
-                    }
-                }
-            }
-            KernelMode::Vectorized => {
-                let row_states = self.row_states();
-                for (index, value) in vector.iter() {
-                    accumulate_signed_entry(&mut rows, &row_states, index, value);
-                }
+        for (index, value) in vector.iter() {
+            for (r, row) in rows.iter_mut().enumerate() {
+                *row += self.signs.sign(r as u64, index) * value;
             }
         }
+        Ok(self.scaled(rows))
+    }
+
+    /// Wraps accumulated rows `Σ sign · value` into the sketch `Πa` (the `1/√m` scale).
+    fn scaled(&self, mut rows: Vec<f64>) -> JlSketch {
+        let scale = 1.0 / (self.rows as f64).sqrt();
         for row in &mut rows {
             *row *= scale;
         }
-        Ok(JlSketch {
+        JlSketch {
             seed: self.seed,
             rows,
-        })
+        }
     }
 
     /// The hoisted per-row halves of the sign mix (`m` words, computed once per sketch
@@ -177,8 +154,16 @@ fn accumulate_signed_entry(rows: &mut [f64], row_states: &[u64], index: u64, val
 impl Sketcher for JlSketcher {
     type Output = JlSketch;
 
+    /// The vectorized kernel: per-row sign-hash states are hoisted out of the entry
+    /// loop, each entry pays one key mix, and rows accumulate in 4-wide unrolled
+    /// chunks.  Bit-for-bit identical to [`JlSketcher::sketch_scalar`].
     fn sketch(&self, vector: &SparseVector) -> Result<JlSketch, SketchError> {
-        self.sketch_with(vector, kernel::mode())
+        let row_states = self.row_states();
+        let mut rows = vec![0.0; self.rows];
+        for (index, value) in vector.iter() {
+            accumulate_signed_entry(&mut rows, &row_states, index, value);
+        }
+        Ok(self.scaled(rows))
     }
 
     fn estimate_inner_product(&self, a: &JlSketch, b: &JlSketch) -> Result<f64, SketchError> {
@@ -193,7 +178,7 @@ impl Sketcher for JlSketcher {
                 self.rows
             )));
         }
-        Ok(kernel::dot(&a.rows, &b.rows))
+        Ok(dot_unrolled(&a.rows, &b.rows))
     }
 
     fn name(&self) -> &'static str {
@@ -279,7 +264,7 @@ mod tests {
             let s = JlSketcher::new(rows, 0xA11CE).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.rows().iter().zip(vectorized.rows()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "rows = {rows}");
                 }

@@ -1,47 +1,27 @@
-//! Scalar/vectorized kernel dispatch.
+//! The estimator dot-product kernel and its scalar reference.
 //!
 //! Every sketching hot loop in this crate ships as a pair of twins: a **scalar
-//! reference** (the straightforward loop, kept as the readable spec and the parity
-//! baseline) and a **vectorized** kernel (hoisted hash states, 4-wide manual unrolling,
-//! branchless sign selection).  The twins are bit-for-bit identical — property tests in
-//! `tests/proptests.rs` lock this — so selecting between them is purely a performance
-//! decision.
-//!
-//! This module is the single dispatch point: [`mode`] is consulted by every kernel
-//! entry (`JlSketcher::sketch`, `CountSketcher::sketch`, `WeightedMinHasher`'s sample
-//! loop, `IcwsSketcher::sketch`, and the estimator dot products).  The mode is resolved
-//! once per process from the `IPSKETCH_KERNEL` environment variable:
-//!
-//! * unset or `vectorized` — use the vectorized kernels (the default);
-//! * `scalar` — force the scalar references (useful for benchmarking the baseline and
-//!   for bisecting a suspected kernel bug).
-//!
-//! Benchmarks and tests that need *both* twins in one process call the per-sketcher
-//! `*_scalar` / `*_vectorized` methods directly instead of toggling the global.
+//! reference** (the straightforward loop, kept as the readable spec) and a
+//! **vectorized** kernel (hoisted hash states, 4-wide manual unrolling, branchless sign
+//! selection).  The twins are bit-for-bit identical — property tests in
+//! `tests/proptests.rs` lock this — so only the vectorized kernel runs:
+//! [`Sketcher::sketch`](crate::traits::Sketcher::sketch) and the JL/CountSketch
+//! estimators call it directly, and the scalar twins (`sketch_scalar` on each sketcher,
+//! [`dot_scalar`] here) are reached only by the parity tests and the kernels bench,
+//! which compare against them.
 
-use std::sync::OnceLock;
-
-/// Which implementation of the sketching kernels to run.
+/// Which implementation of the sketching kernels runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// The straightforward reference loops.
-    Scalar,
-    /// The hoisted-hash, 4-wide unrolled kernels (bit-identical to scalar).
+    /// The hoisted-hash, 4-wide unrolled kernels (bit-identical to the scalar twins).
     Vectorized,
 }
 
-static MODE: OnceLock<KernelMode> = OnceLock::new();
-
-/// The process-wide kernel mode, resolved once from `IPSKETCH_KERNEL`.
-///
-/// Unrecognized values fall back to [`KernelMode::Vectorized`]; only the exact
-/// (case-insensitive) value `scalar` selects the reference kernels.
+/// The kernel implementation every sketch and estimate runs: always
+/// [`KernelMode::Vectorized`].  Kept so benchmark reports can record it.
 #[must_use]
 pub fn mode() -> KernelMode {
-    *MODE.get_or_init(|| match std::env::var("IPSKETCH_KERNEL") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-        _ => KernelMode::Vectorized,
-    })
+    KernelMode::Vectorized
 }
 
 /// Sequential dot product — the scalar reference for the linear-sketch estimators.
@@ -50,7 +30,8 @@ pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Dot product with the inner loop unrolled four-wide.
+/// Dot product with the inner loop unrolled four-wide: the JL and CountSketch estimate
+/// kernel.
 ///
 /// The accumulation **order is preserved** (one accumulator, products added left to
 /// right), so the result is bit-identical to [`dot_scalar`]; the unrolling removes the
@@ -77,15 +58,6 @@ pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Dispatches a dot product through the process-wide [`mode`].
-#[must_use]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    match mode() {
-        KernelMode::Scalar => dot_scalar(a, b),
-        KernelMode::Vectorized => dot_unrolled(a, b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +65,7 @@ mod tests {
     #[test]
     fn mode_is_stable_across_calls() {
         assert_eq!(mode(), mode());
+        assert_eq!(mode(), KernelMode::Vectorized);
     }
 
     #[test]

@@ -17,12 +17,15 @@
 
 use super::{validate_params, WeightedMinHashSketch, WmhParams, WmhStream, WmhVariant};
 use crate::error::{incompatible, SketchError};
-use crate::kernel::{self, KernelMode};
 use crate::traits::{MergeableSketcher, Sketcher};
 use ipsketch_hash::mix::mix2;
 use ipsketch_hash::record::{prefix_min_replay, prefix_min_replay_v2_sweep, Record, RecordStream};
 use ipsketch_vector::rounding::{normalize_and_round, repetition_counts};
 use ipsketch_vector::SparseVector;
+
+/// A sampling loop over `(block, count, value)` triples, returning the per-sample
+/// minimum hashes and the values at the minimizing blocks.
+type SampleMinima = fn(&WeightedMinHasher, &[(u64, u64, f64)]) -> (Vec<f64>, Vec<f64>);
 
 /// The `O(nnz · m · log L)` Weighted MinHash sketcher (Algorithm 3 with the
 /// active-index optimization) and its Algorithm-5 estimator.
@@ -130,26 +133,10 @@ impl WeightedMinHasher {
         self.params
     }
 
-    /// Runs the active-index sampling loop over `(block, count, value)` triples: for
-    /// each of the `m` samples, the minimum record over every block's `count`-position
-    /// prefix, together with the rounded entry value at the minimizing block.
-    /// Dispatches between the scalar reference and the vectorized kernel.
-    fn sample_minima(&self, blocks: &[(u64, u64, f64)]) -> (Vec<f64>, Vec<f64>) {
-        self.sample_minima_with(blocks, kernel::mode())
-    }
-
-    fn sample_minima_with(
-        &self,
-        blocks: &[(u64, u64, f64)],
-        mode: KernelMode,
-    ) -> (Vec<f64>, Vec<f64>) {
-        match mode {
-            KernelMode::Scalar => self.sample_minima_scalar(blocks),
-            KernelMode::Vectorized => self.sample_minima_vectorized(blocks),
-        }
-    }
-
-    /// The scalar reference: sample-outer, block-inner, one record stream at a time.
+    /// The active-index sampling loop over `(block, count, value)` triples — for each
+    /// of the `m` samples, the minimum record over every block's `count`-position
+    /// prefix, together with the rounded entry value at the minimizing block — as the
+    /// scalar reference: sample-outer, block-inner, one record stream at a time.
     fn sample_minima_scalar(&self, blocks: &[(u64, u64, f64)]) -> (Vec<f64>, Vec<f64>) {
         let m = self.params.samples;
         let mut hashes = Vec::with_capacity(m);
@@ -170,7 +157,8 @@ impl WeightedMinHasher {
         (hashes, values)
     }
 
-    /// The vectorized kernel: block-outer, sample-inner.
+    /// The vectorized sampling loop, the only one that runs outside tests and benches:
+    /// block-outer, sample-inner.
     ///
     /// Each block's seed-mix half and prefix length are built once and swept across all
     /// `m` samples with a min-reduction into the `hashes`/`values` arrays, and every
@@ -187,11 +175,11 @@ impl WeightedMinHasher {
     /// and a 4-wide lockstep variant benchmarked at parity and was dropped.  The v2
     /// stream's deterministic logarithm is a short chain of exactly-specified f64
     /// operations that *does* pack, so its sample sweep runs through
-    /// [`prefix_min_replay_v2_sweep`]: three streams replayed in lockstep per block
-    /// (six logarithm pairs filling three packed evaluations on AVX2, three
-    /// interleaved generators hiding the state-update latency), with finished lanes
-    /// reloaded from the remaining samples so no lane idles while a slow stream
-    /// drains.  This is the v2 format's sketch-build speedup.
+    /// [`prefix_min_replay_v2_sweep`], the only packed replay: three streams replayed
+    /// in lockstep per block (six logarithm pairs filling three packed evaluations on
+    /// AVX2, three interleaved generators hiding the state-update latency), with
+    /// finished lanes reloaded from the remaining samples so no lane idles while a
+    /// slow stream drains.  This is the v2 format's sketch-build speedup.
     fn sample_minima_vectorized(&self, blocks: &[(u64, u64, f64)]) -> (Vec<f64>, Vec<f64>) {
         let m = self.params.samples;
         let sample_states: Vec<u64> = (0..m as u64)
@@ -230,8 +218,9 @@ impl WeightedMinHasher {
         (hashes, values)
     }
 
-    /// Sketches with the scalar reference kernel (the internal
-    /// `sample_minima_scalar` loop); prefer [`Sketcher::sketch`], which dispatches.
+    /// Sketches with the scalar reference kernel (the internal `sample_minima_scalar`
+    /// loop).  This is the parity baseline [`Sketcher::sketch`] is property-tested
+    /// against; it never runs outside tests and benches.
     ///
     /// # Errors
     ///
@@ -240,27 +229,14 @@ impl WeightedMinHasher {
         &self,
         vector: &SparseVector,
     ) -> Result<WeightedMinHashSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Scalar)
+        self.sketch_with(vector, Self::sample_minima_scalar)
     }
 
-    /// Sketches with the vectorized kernel (the internal `sample_minima_vectorized`
-    /// block-outer replay); bit-for-bit identical to
-    /// [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sketcher::sketch`].
-    pub fn sketch_vectorized(
-        &self,
-        vector: &SparseVector,
-    ) -> Result<WeightedMinHashSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Vectorized)
-    }
-
+    /// Algorithm 3 with the sampling loop `sample_minima`.
     fn sketch_with(
         &self,
         vector: &SparseVector,
-        mode: KernelMode,
+        sample_minima: SampleMinima,
     ) -> Result<WeightedMinHashSketch, SketchError> {
         // Line 2 of Algorithm 3: normalize and round onto the 1/L grid.
         let (rounded, norm) = normalize_and_round(vector, self.params.discretization)?;
@@ -276,7 +252,7 @@ impl WeightedMinHasher {
             !blocks.is_empty(),
             "a rounded unit vector always has at least one non-empty block"
         );
-        let (hashes, values) = self.sample_minima_with(&blocks, mode);
+        let (hashes, values) = sample_minima(self, &blocks);
         Ok(WeightedMinHashSketch {
             params: self.params,
             hashes,
@@ -348,7 +324,7 @@ impl WeightedMinHasher {
             })
             .collect();
         if !blocks.is_empty() {
-            let (hashes, values) = self.sample_minima(&blocks);
+            let (hashes, values) = self.sample_minima_vectorized(&blocks);
             partial.hashes = hashes;
             partial.values = values;
         }
@@ -360,7 +336,7 @@ impl Sketcher for WeightedMinHasher {
     type Output = WeightedMinHashSketch;
 
     fn sketch(&self, vector: &SparseVector) -> Result<WeightedMinHashSketch, SketchError> {
-        self.sketch_with(vector, kernel::mode())
+        self.sketch_with(vector, Self::sample_minima_vectorized)
     }
 
     fn estimate_inner_product(
@@ -521,7 +497,7 @@ mod tests {
             let s = WeightedMinHasher::new(m, 0xC0FFEE, 1 << 18).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.hashes().iter().zip(vectorized.hashes()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "m = {m}");
                 }
@@ -546,7 +522,7 @@ mod tests {
             let s = WeightedMinHasher::with_stream(m, 0xC0FFEE, 1 << 18, WmhStream::V2).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.hashes().iter().zip(vectorized.hashes()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "m = {m}");
                 }

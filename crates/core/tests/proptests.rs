@@ -4,7 +4,7 @@ use ipsketch_core::icws::IcwsSketcher;
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_core::serialize::BinarySketch;
 use ipsketch_core::traits::{MergeableSketcher, Sketch, Sketcher};
-use ipsketch_core::wmh::WeightedMinHasher;
+use ipsketch_core::wmh::{WeightedMinHasher, WmhStream};
 use ipsketch_core::{
     countsketch::CountSketcher, jl::JlSketcher, kmv::KmvSketcher, minhash::MinHasher,
 };
@@ -329,10 +329,10 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The tentpole guarantee of the vectorized kernels: selecting a kernel is purely a
-    // performance decision.  Sizes are drawn across the 4-wide unroll boundaries
-    // (1, multiples of 4, non-multiples), and the JL/CountSketch cases include empty
-    // and single-entry vectors.
+    // The guarantee that lets the vectorized kernels be the only runtime path:
+    // `Sketcher::sketch` reproduces each scalar reference twin bit for bit.  Sizes are
+    // drawn across the 4-wide unroll boundaries (1, multiples of 4, non-multiples),
+    // and the JL/CountSketch cases include empty and single-entry vectors.
 
     #[test]
     fn jl_vectorized_kernel_is_bit_identical(
@@ -342,13 +342,13 @@ proptest! {
     ) {
         let s = JlSketcher::new(rows, seed).unwrap();
         let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
+        let vectorized = s.sketch(&a).unwrap();
         prop_assert!(bits_equal(scalar.rows(), vectorized.rows()));
 
         let other = s.sketch_scalar(&a.scaled(-1.5)).unwrap();
         prop_assert_eq!(
             ipsketch_core::kernel::dot_scalar(scalar.rows(), other.rows()).to_bits(),
-            ipsketch_core::kernel::dot_unrolled(vectorized.rows(), other.rows()).to_bits()
+            s.estimate_inner_product(&vectorized, &other).unwrap().to_bits()
         );
     }
 
@@ -361,7 +361,7 @@ proptest! {
     ) {
         let s = CountSketcher::with_repetitions(buckets, reps, seed).unwrap();
         let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
+        let vectorized = s.sketch(&a).unwrap();
         prop_assert_eq!(scalar.buckets(), vectorized.buckets());
         for rep in 0..reps {
             prop_assert!(bits_equal(scalar.repetition(rep), vectorized.repetition(rep)));
@@ -374,12 +374,14 @@ proptest! {
         seed in any::<u64>(),
         samples in 1usize..40,
     ) {
-        let s = WeightedMinHasher::new(samples, seed, 1 << 20).unwrap();
-        let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
-        prop_assert!(bits_equal(scalar.hashes(), vectorized.hashes()));
-        prop_assert!(bits_equal(scalar.values(), vectorized.values()));
-        prop_assert_eq!(scalar.norm().to_bits(), vectorized.norm().to_bits());
+        for stream in [WmhStream::V1, WmhStream::V2] {
+            let s = WeightedMinHasher::with_stream(samples, seed, 1 << 20, stream).unwrap();
+            let scalar = s.sketch_scalar(&a).unwrap();
+            let vectorized = s.sketch(&a).unwrap();
+            prop_assert!(bits_equal(scalar.hashes(), vectorized.hashes()));
+            prop_assert!(bits_equal(scalar.values(), vectorized.values()));
+            prop_assert_eq!(scalar.norm().to_bits(), vectorized.norm().to_bits());
+        }
     }
 
     #[test]
@@ -390,7 +392,7 @@ proptest! {
     ) {
         let s = IcwsSketcher::new(samples, seed).unwrap();
         let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
+        let vectorized = s.sketch(&a).unwrap();
         prop_assert_eq!(scalar.norm().to_bits(), vectorized.norm().to_bits());
         for (x, y) in scalar.samples().iter().zip(vectorized.samples()) {
             prop_assert_eq!(x.index, y.index);

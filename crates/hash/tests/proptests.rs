@@ -4,7 +4,9 @@ use ipsketch_hash::family::{HashFamily, HashFamilyKind, UnitHashFamily};
 use ipsketch_hash::geometric::geometric_skip;
 use ipsketch_hash::mix::{mix2, splitmix64, u64_to_unit_f64};
 use ipsketch_hash::prime::{mod_p31, mod_p61_u128, mul_mod_p61, P31, P61};
-use ipsketch_hash::record::{prefix_min, RecordStream};
+use ipsketch_hash::record::{
+    prefix_min, prefix_min_replay_v2_scalar, prefix_min_replay_v2_sweep, Record, RecordStream,
+};
 use ipsketch_hash::rng::Xoshiro256PlusPlus;
 use ipsketch_hash::sign::{BucketHasher, SignHasher};
 use ipsketch_hash::unit::UnitHasher;
@@ -140,6 +142,34 @@ proptest! {
         }
         prop_assert!(short.position < short_len);
         prop_assert!(long.position < long_len);
+    }
+
+    #[test]
+    fn sweep_replay_emits_every_stream_as_the_scalar_replay(
+        seed in any::<u64>(),
+        block in any::<u64>(),
+        // Log-uniform over 0..=2^40: a bit width, then a length within it.
+        len in (0u32..=40, any::<u64>()).prop_map(|(bits, r)| r % ((1u64 << bits) + 1)),
+        m in 0usize..=8,
+    ) {
+        // The sweep is the only packed v2 replay: whatever order its lanes finish in,
+        // every stream must be emitted exactly once with the scalar replay's record.
+        let bits = |r: Option<Record>| r.map(|r| (r.position, r.value.to_bits()));
+        let states: Vec<u64> = (0..m as u64)
+            .map(|sample| RecordStream::sample_state(seed, sample))
+            .collect();
+        let block_state = RecordStream::block_state(block);
+        let mut emitted = Vec::with_capacity(m);
+        prefix_min_replay_v2_sweep(&states, block_state, len, &mut |sample, record| {
+            emitted.push((sample, bits(record)));
+        });
+        emitted.sort_by_key(|&(sample, _)| sample);
+        let expected: Vec<_> = states
+            .iter()
+            .enumerate()
+            .map(|(sample, state)| (sample, bits(prefix_min_replay_v2_scalar(*state, block_state, len))))
+            .collect();
+        prop_assert_eq!(emitted, expected);
     }
 
     #[test]

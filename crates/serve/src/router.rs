@@ -61,7 +61,9 @@ use crate::protocol::{
     ErrorCode, InfoColumn, Request, RequestBody, Response, ResponseBody, WireClusterStats,
     WireError, WireNodeStats, WireRanked, WireServiceStats, WireSketch, WireTable,
 };
-use crate::server::{Backend, FrontEnd, MaintenanceStats, ServerConfig, ServerHandle};
+use crate::server::{
+    Backend, FrontEnd, MaintenanceStats, ServerConfig, ServerHandle, DEFAULT_MAX_LINE_BYTES,
+};
 use crate::wire::Json;
 
 /// Default replication factor: every key lives on two nodes, so the cluster
@@ -1292,7 +1294,21 @@ impl NodeConn {
         })
     }
 
-    /// One request/response round trip on this connection.
+    /// Reads one line of a node's reply, refusing to buffer more than
+    /// [`DEFAULT_MAX_LINE_BYTES`] — the bound the front end puts on a request.
+    fn read_line(&mut self, line: &mut String) -> io::Result<usize> {
+        let n = (&mut self.reader)
+            .take(DEFAULT_MAX_LINE_BYTES as u64 + 1)
+            .read_line(line)?;
+        if n > DEFAULT_MAX_LINE_BYTES {
+            return Err(reply_too_large());
+        }
+        Ok(n)
+    }
+
+    /// One request/response round trip on this connection.  A reply over
+    /// [`DEFAULT_MAX_LINE_BYTES`] is an `InvalidData` error, so the pool drops
+    /// the connection instead of sizing a buffer by what the node claims.
     fn call(&mut self, request: &Request) -> io::Result<Response> {
         let line = request.encode();
         match self.transport {
@@ -1300,7 +1316,7 @@ impl NodeConn {
                 self.writer.write_all(line.as_bytes())?;
                 self.writer.write_all(b"\n")?;
                 let mut reply = String::new();
-                let n = self.reader.read_line(&mut reply)?;
+                let n = self.read_line(&mut reply)?;
                 if n == 0 {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -1319,7 +1335,7 @@ impl NodeConn {
                 self.writer.write_all(head.as_bytes())?;
                 self.writer.write_all(line.as_bytes())?;
                 let mut status = String::new();
-                if self.reader.read_line(&mut status)? == 0 {
+                if self.read_line(&mut status)? == 0 {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "node closed the connection",
@@ -1328,7 +1344,7 @@ impl NodeConn {
                 let mut content_length: Option<usize> = None;
                 loop {
                     let mut header = String::new();
-                    if self.reader.read_line(&mut header)? == 0 {
+                    if self.read_line(&mut header)? == 0 {
                         return Err(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             "node closed mid-headers",
@@ -1348,6 +1364,9 @@ impl NodeConn {
                 let length = content_length.ok_or_else(|| {
                     io::Error::new(io::ErrorKind::InvalidData, "node response had no length")
                 })?;
+                if length > DEFAULT_MAX_LINE_BYTES {
+                    return Err(reply_too_large());
+                }
                 let mut body = vec![0u8; length];
                 self.reader.read_exact(&mut body)?;
                 let body = std::str::from_utf8(&body).map_err(|_| {
@@ -1361,6 +1380,13 @@ impl NodeConn {
             }
         }
     }
+}
+
+fn reply_too_large() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("node reply exceeds {DEFAULT_MAX_LINE_BYTES} bytes"),
+    )
 }
 
 /// One front-end worker's private node connections, opened lazily and reset

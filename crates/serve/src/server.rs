@@ -59,6 +59,10 @@ const HTTP_LISTENER_KEY: usize = 1;
 /// First key handed to an accepted connection.
 const FIRST_CONN_KEY: usize = 2;
 
+/// The default `max_line_bytes` (64 MiB), which also bounds every reply the
+/// router reads from a node.
+pub(crate) const DEFAULT_MAX_LINE_BYTES: usize = 64 << 20;
+
 /// Smallest accepted `max_line_bytes`: below this even an empty batch-query
 /// cannot be expressed, so the bound would only manufacture `too_large` errors.
 const MIN_LINE_BYTES: usize = 1024;
@@ -92,7 +96,7 @@ impl ServerConfig {
             tcp: None,
             http: None,
             workers: 2,
-            max_line_bytes: 64 << 20,
+            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             max_connections: 1024,
             max_queue_depth: 1024,
             maintenance_interval: Some(Duration::from_secs(30)),

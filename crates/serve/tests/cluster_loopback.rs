@@ -17,8 +17,8 @@ use ipsketch_serve::server::{serve, ServerConfig, ServerHandle};
 use ipsketch_serve::wire::Json;
 use ipsketch_serve::{shard_rows, QueryService};
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -1004,4 +1004,80 @@ fn extreme_k_is_answered_byte_identically_by_node_and_router() {
     router.shutdown();
     cleanup(nodes);
     cleanup(single);
+}
+
+/// A fake HTTP node: answers every request on `stream` with a head that claims
+/// a `u64::MAX`-byte body and never sends one.
+fn answer_with_an_absurd_length(stream: TcpStream) {
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    loop {
+        let mut length = 0usize;
+        loop {
+            let mut line = String::new();
+            if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                return;
+            }
+            let line = line.trim_end().to_ascii_lowercase();
+            if line.is_empty() {
+                break;
+            }
+            if let Some(value) = line.strip_prefix("content-length:") {
+                length = value.trim().parse().expect("router sends a valid length");
+            }
+        }
+        let mut body = vec![0u8; length];
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n";
+        if reader.read_exact(&mut body).is_err() || writer.write_all(head).is_err() {
+            return;
+        }
+    }
+}
+
+#[test]
+fn an_oversized_node_reply_is_a_typed_error_and_the_router_keeps_answering() {
+    // The router must not size a buffer by what a node claims: an over-bound
+    // reply is a failed node call (`io` once no replica answers), the
+    // connection is dropped, and the worker lives on to answer the next request.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake node");
+    let addr = listener.local_addr().expect("fake node addr");
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let acceptor = {
+        let stop = std::sync::Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut handlers = Vec::new();
+            for stream in listener.incoming() {
+                if stop.load(std::sync::atomic::Ordering::SeqCst) {
+                    break;
+                }
+                if let Ok(stream) = stream {
+                    handlers.push(std::thread::spawn(move || {
+                        answer_with_an_absurd_length(stream);
+                    }));
+                }
+            }
+            for handler in handlers {
+                handler.join().expect("fake node connection");
+            }
+        })
+    };
+    let router = boot_router(vec![NodeSpec::http(addr.to_string())], 1);
+    let mut client = Client::connect(router.addr());
+    client
+        .writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    let (query, _, _) = lake();
+    for id in 1..=2 {
+        let response = client.call(&query_request(id, &query, "rides", 5));
+        assert_eq!(response.id, Json::u64(id));
+        let error = response
+            .result
+            .expect_err("a node whose reply exceeds the bound answers nothing");
+        assert_eq!(error.code, ErrorCode::Io, "request {id}: {}", error.message);
+    }
+    router.shutdown();
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    drop(TcpStream::connect(addr));
+    acceptor.join().expect("fake node acceptor");
 }
